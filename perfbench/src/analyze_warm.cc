@@ -162,7 +162,7 @@ AnalyzePass RunAnalyzePass(const wsd::StudyOptions& options, uint64_t pass_id) {
     const double cpu0 = SelfCpuSeconds();
     const int64_t t0 = NowNs();
     {
-      const Span span("core.analyze_op", true, run_id);
+      const Span span("core.analyze_op", run_id);
       body();
     }
     const int64_t t1 = NowNs();

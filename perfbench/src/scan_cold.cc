@@ -62,7 +62,7 @@ ScanPass RunScanPass(const wsd::StudyOptions& options, uint64_t pass_id) {
     const int64_t t0 = NowNs();
     std::optional<wsd::StatusOr<wsd::ScanResult>> result;
     {
-      const Span pair_span("extract.cold_scan", true, pass_id * 1000 + i + 1);
+      const Span pair_span("extract.cold_scan", pass_id * 1000 + i + 1);
       {
         const Span span("store.load");
         if (store.Load(key).ok()) pass.error = "artifact hit in a cold scan";

@@ -365,7 +365,7 @@ LiveResult DriveLive(uint16_t port, const Mix& mix, size_t begin, size_t end,
       clock, clock.Now() + 20'000'000, interval, end - begin, kFastConnections,
       [&](size_t i, size_t worker) {
         const Target& target = mix.targets[mix.sequence[begin + i]];
-        const Span span("serve.request", true, begin + i + 1);
+        const Span span("serve.request", begin + i + 1);
         auto resp = clients[worker]->Get(target.path);
         if (!resp.ok()) {
           problems[i] = target.path + ": " + resp.status().ToString();

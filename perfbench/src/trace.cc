@@ -73,7 +73,6 @@ Tracer& Tracer::Get() {
 }
 
 void Tracer::set_enabled(bool on) { Reg().enabled.store(on); }
-bool Tracer::enabled() const { return Reg().enabled.load(); }
 
 std::map<std::string, SpanTotals> Tracer::Totals() const {
   std::map<std::string, SpanTotals> out;
@@ -139,32 +138,27 @@ bool Tracer::WriteChromeTrace(const std::string& path) const {
   return std::fclose(out) == 0;
 }
 
-Span::Span(const char* name, bool keep, uint64_t run) {
+Span::Span(const char* name, uint64_t run) {
   if (!Reg().enabled.load(std::memory_order_relaxed)) return;
   const uint64_t parent = tl_top != nullptr ? tl_top->id_ : 0;
   if (run == 0 && tl_top != nullptr) run = tl_top->run_;
-  Open(name, parent, run, keep);
+  Open(name, parent, run);
 }
 
-Span::Span(const char* name, const SpanContext& parent, bool keep) {
+Span::Span(const char* name, const SpanContext& parent) {
   if (!Reg().enabled.load(std::memory_order_relaxed)) return;
-  Open(name, parent.id, parent.run, keep);
+  Open(name, parent.id, parent.run);
 }
 
-void Span::Open(const char* name, uint64_t parent, uint64_t run, bool keep) {
+void Span::Open(const char* name, uint64_t parent, uint64_t run) {
   name_ = name;
   id_ = Reg().next_id.fetch_add(1, std::memory_order_relaxed);
   parent_ = parent;
   run_ = run;
-  keep_ = keep;
   active_ = true;
   outer_ = tl_top;
   tl_top = this;
   start_ns_ = NowNs();
-}
-
-int64_t Span::elapsed_ns() const {
-  return active_ ? NowNs() - start_ns_ : 0;
 }
 
 Span::~Span() {
@@ -180,7 +174,6 @@ Span::~Span() {
   ++totals.count;
   totals.total_ns += duration;
   totals.child_ns += child_ns_;
-  if (!keep_) return;
   if (reg.stored.fetch_add(1, std::memory_order_relaxed) < kMaxStoredSpans) {
     buffer.records.push_back({name_, id_, parent_, run_, start_ns_, end_ns});
   } else {

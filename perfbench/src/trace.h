@@ -4,9 +4,8 @@
 //
 // Every span has a name, a start, an end, a parent and a run id (a pass
 // and pair for batch work, a request index for serving). Per-name totals
-// are always aggregated; a span constructed with keep = true is also
-// stored for the Chrome trace-event file (Perfetto opens it), up to a cap.
-// Self time is a span's duration minus the duration of the child spans
+// are aggregated, and every span is stored for the Chrome trace-event file
+// (Perfetto opens it), up to a cap. Self time is a span's duration minus the duration of the child spans
 // opened on the same thread inside it.
 
 #ifndef PERFBENCH_TRACE_H_
@@ -39,7 +38,6 @@ class Tracer {
 
   /// Spans are no-ops (not timed, not recorded) while disabled.
   void set_enabled(bool on);
-  bool enabled() const;
 
   /// Totals by span name across all threads. Call only while no span is
   /// open on another thread.
@@ -59,20 +57,18 @@ class Span {
  public:
   /// Child of the innermost span open on this thread (run id inherited,
   /// unless `run` is non-zero).
-  explicit Span(const char* name, bool keep = true, uint64_t run = 0);
+  explicit Span(const char* name, uint64_t run = 0);
   /// Child of a span opened on another thread.
-  Span(const char* name, const SpanContext& parent, bool keep = true);
+  Span(const char* name, const SpanContext& parent);
   ~Span();
 
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
 
   SpanContext context() const { return {id_, run_}; }
-  /// Nanoseconds since the span opened (0 when tracing is off).
-  int64_t elapsed_ns() const;
 
  private:
-  void Open(const char* name, uint64_t parent, uint64_t run, bool keep);
+  void Open(const char* name, uint64_t parent, uint64_t run);
 
   const char* name_ = nullptr;
   uint64_t id_ = 0;
@@ -81,7 +77,6 @@ class Span {
   int64_t start_ns_ = 0;
   int64_t child_ns_ = 0;
   Span* outer_ = nullptr;  // enclosing span on this thread
-  bool keep_ = false;
   bool active_ = false;
 };
 

@@ -173,14 +173,13 @@ void TestSpanSelfTime() {
   tracer.Reset();
   tracer.set_enabled(true);
   {
-    const Span outer("test.outer", true, 7);
+    const Span outer("test.outer", 7);
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
     {
       const Span inner("test.inner");
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
   }
-  { const Span off_record("test.aggregate_only", false); }
   tracer.set_enabled(false);
   { const Span disabled("test.disabled"); }
   const auto totals = tracer.Totals();
@@ -190,7 +189,6 @@ void TestSpanSelfTime() {
   EXPECT(outer.child_ns == inner.total_ns);
   EXPECT(outer.self_ns() == outer.total_ns - inner.total_ns);
   EXPECT(outer.self_ns() >= 2'000'000 && inner.total_ns >= 5'000'000);
-  EXPECT(totals.count("test.aggregate_only") == 1);
   EXPECT(totals.count("test.disabled") == 0);
   EXPECT(tracer.stored() == 2);
   const std::string path = "perfbench_selftest_trace.json";
