@@ -6,6 +6,8 @@
 // ComputeGraphMetrics makes), the robustness sweep and, for reviews, page
 // coverage, then the §4 value study for amazon, yelp and imdb. No scan
 // may run: the wsd.scan.runs delta of every pass must be 0.
+// The scanned corpus is the same in every run (kCorpusSeed); --seed draws
+// the value studies' traffic.
 
 #include <iostream>
 #include <optional>
@@ -147,10 +149,14 @@ std::string AnalyzePair(const wsd::StudyOptions& options, const Pair& pair,
   return "";
 }
 
-AnalyzePass RunAnalyzePass(const wsd::StudyOptions& options, uint64_t pass_id) {
+// One pass over the stored corpus of `options`, with the value studies
+// drawn from `traffic_seed`.
+AnalyzePass RunAnalyzePass(const wsd::StudyOptions& options, uint64_t traffic_seed,
+                           uint64_t pass_id) {
   AnalyzePass pass;
   wsd::StudyOptions study_options = options;
   study_options.artifact_dir.clear();
+  study_options.seed = traffic_seed;
   wsd::Study study(study_options);
   const wsd::ArtifactStore store(options.artifact_dir);
   const uint64_t hits0 = CounterValue("wsd.artifact.hits");
@@ -297,6 +303,8 @@ int RunAnalyzeWarm(const RunOptions& run) {
   Report report;
   report.Note(EnvHeaderJson(run, {{"entities", std::to_string(kEntities)},
                                   {"scale", std::to_string(kBatchScale)},
+                                  {"corpus_seed", std::to_string(kCorpusSeed)},
+                                  {"traffic_seed", std::to_string(run.seed)},
                                   {"pairs", std::to_string(PaperPairs().size())},
                                   {"value_studies", "amazon,yelp,imdb"},
                                   {"workers", std::to_string(kWorkers)},
@@ -309,7 +317,7 @@ int RunAnalyzeWarm(const RunOptions& run) {
         BatchOptions(kCanarySeed, kCanaryScale, run.work_dir + "/canary");
     const std::string error = FillArtifacts(canary);
     if (!error.empty()) check.Fail("canary", error);
-    const AnalyzePass pass = RunAnalyzePass(canary, 0);
+    const AnalyzePass pass = RunAnalyzePass(canary, canary.seed, 0);
     if (run.record_digests) {
       for (const auto& [name, digest] : pass.digests) {
         std::cout << name << " " << Hex(digest) << "\n";
@@ -321,7 +329,7 @@ int RunAnalyzeWarm(const RunOptions& run) {
   // Set-up: fill the artifact store with cold scans, three times;
   // setup_s is the median.
   const wsd::StudyOptions base =
-      BatchOptions(run.seed, kBatchScale, run.work_dir + "/artifacts");
+      BatchOptions(kCorpusSeed, kBatchScale, run.work_dir + "/artifacts");
   std::vector<double> setups;
   for (int i = 0; i < 3; ++i) {
     const int64_t t0 = NowNs();
@@ -330,23 +338,27 @@ int RunAnalyzeWarm(const RunOptions& run) {
     if (!error.empty()) check.Fail("setup", error);
   }
   const double setup_s = MedianOf(setups);
+  // peak_rss_mb covers the loads and analyses, not the set-up scans.
+  ResetPeakRss();
 
   std::map<std::string, uint64_t> reference;
   PassLog log;
+  for (const Pair& pair : PaperPairs()) log.op_names.push_back(PairName(pair));
+  for (wsd::TrafficSite site : kSites) {
+    log.op_names.push_back("value/" + std::string(wsd::TrafficSiteName(site)));
+  }
   std::vector<double> traced_walls, untraced_walls, traced_idle;
   AnalyzePass last_traced;
   uint64_t pass_id = 0;
   auto measure = [&](bool traced) {
     ++pass_id;
     Tracer::Get().set_enabled(traced);
-    AnalyzePass pass = RunAnalyzePass(base, pass_id);
+    AnalyzePass pass = RunAnalyzePass(base, run.seed, pass_id);
     Tracer::Get().set_enabled(false);
     if (reference.empty() && pass.error.empty()) {
       reference.insert(pass.digests.begin(), pass.digests.end());
     }
     CheckPass(pass, reference, "pass" + std::to_string(pass_id), &check);
-    double max_ms = 0;
-    for (double ms : pass.op_ms) max_ms = std::max(max_ms, ms);
     if (traced) {
       traced_walls.push_back(pass.wall_s);
       traced_idle.push_back(pass.pool_idle_frac);
@@ -354,9 +366,9 @@ int RunAnalyzeWarm(const RunOptions& run) {
       return;
     }
     untraced_walls.push_back(pass.wall_s);
+    if (!pass.error.empty()) return;
     log.op_ms.insert(log.op_ms.end(), pass.op_ms.begin(), pass.op_ms.end());
     log.pass_wall_s.push_back(pass.wall_s);
-    log.pass_max_ms.push_back(max_ms);
     log.pass_units.push_back(static_cast<double>(pass.op_ms.size()));
     log.pass_cpu_s.push_back(pass.cpu_s);
   };
@@ -398,7 +410,9 @@ int RunAnalyzeWarm(const RunOptions& run) {
       {"trace.overhead_frac", MedianOf(traced_walls) / MedianOf(untraced_walls) - 1},
   };
   Tracer::Get().set_enabled(true);
-  TrafficBreakdown(base, &layers);
+  wsd::StudyOptions traffic = base;
+  traffic.seed = run.seed;
+  TrafficBreakdown(traffic, &layers);
   Tracer::Get().set_enabled(false);
   layers["trace.spans"] = static_cast<double>(Tracer::Get().stored());
   report.Note("layer times are seconds per traced pass (" +

@@ -1,5 +1,6 @@
 #include "common.h"
 
+#include <malloc.h>
 #include <sys/resource.h>
 #include <unistd.h>
 
@@ -135,12 +136,37 @@ double SelfCpuSeconds() {
 }
 
 double SelfPeakRssMb() {
+  // VmHWM follows clear_refs resets; ru_maxrss never goes down.
+  std::ifstream in("/proc/self/status");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("VmHWM:", 0) == 0) return std::stod(line.substr(6)) / 1024.0;
+  }
   rusage usage{};
   getrusage(RUSAGE_SELF, &usage);
   return static_cast<double>(usage.ru_maxrss) / 1024.0;  // ru_maxrss is KiB
 }
 
+void ResetPeakRss() {
+  malloc_trim(0);
+  std::ofstream("/proc/self/clear_refs") << "5";
+}
+
 double ProcessCpuSeconds(int pid) {
+  // Nanosecond run time of each thread, from schedstat.
+  const std::string tasks = "/proc/" + std::to_string(pid) + "/task";
+  std::error_code ec;
+  uint64_t run_ns = 0;
+  bool read_any = false;
+  for (const auto& task : std::filesystem::directory_iterator(tasks, ec)) {
+    std::ifstream stat(task.path() / "schedstat");
+    uint64_t ns = 0;
+    if (stat >> ns) {
+      run_ns += ns;
+      read_any = true;
+    }
+  }
+  if (read_any) return 1e-9 * static_cast<double>(run_ns);
   std::ifstream in("/proc/" + std::to_string(pid) + "/stat");
   std::string stat;
   if (!std::getline(in, stat)) return -1;

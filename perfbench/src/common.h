@@ -98,10 +98,15 @@ uint64_t CounterValue(const std::string& name);
 
 /// CPU seconds (user + system) this process has used.
 double SelfCpuSeconds();
-/// Peak resident set of this process, in MB.
+/// Peak resident set of this process since the last ResetPeakRss (or
+/// since it started), in MB.
 double SelfPeakRssMb();
-/// CPU seconds of another process (all its threads, live and reaped),
-/// from /proc/<pid>/stat; negative when unreadable.
+/// Returns freed heap to the system and restarts the peak resident set
+/// count from the current one (Linux clear_refs; a no-op elsewhere).
+void ResetPeakRss();
+/// CPU seconds of another process's live threads, from each thread's
+/// schedstat (nanoseconds), or of all its threads from /proc/<pid>/stat
+/// (clock ticks) when schedstat is missing; negative when unreadable.
 double ProcessCpuSeconds(int pid);
 
 /// Environment header: git sha, CPU model, nproc, compiler, build type,

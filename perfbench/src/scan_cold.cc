@@ -1,12 +1,13 @@
 // scan_cold: the §3.1 cache scan of every paper pair into an empty
-// artifact store. Each pass makes the calls Study::Scan makes on a miss —
-// ArtifactStore::Load (a miss), BuildWeb, ScanPipeline::Run and
-// ArtifactStore::Store — so every scan is live and every result is
-// written. The traced run adds a per-page breakdown of one pass of
+// artifact store. Each pass calls Study::Scan on a fresh Study whose
+// artifact directory is empty, so every scan is live and every result is
+// written through ArtifactStore::Store. The traced run replays those
+// calls one by one in spans, and adds a per-page breakdown of one pass of
 // scans over ScanHostPages and the public per-page functions it calls.
 
 #include <atomic>
 #include <iostream>
+#include <memory>
 #include <optional>
 
 #include "extract/attribute_registry.h"
@@ -36,12 +37,53 @@ struct ScanPass {
   std::string error;
 };
 
+// Study::Scan's miss path replayed layer by layer, each call in its own
+// span: ArtifactStore::Load (a miss), BuildWeb, ReviewDetector training
+// (once per pass), ScanPipeline::Run and ArtifactStore::Store.
+std::string ReplayScan(wsd::Study& study, const wsd::ArtifactStore& store,
+                       const wsd::ArtifactKey& key, const Pair& pair,
+                       std::optional<wsd::ReviewDetector>* detector,
+                       std::shared_ptr<const wsd::ScanResult>* out) {
+  {
+    const Span span("store.load");
+    if (store.Load(key).ok()) return "artifact hit in a cold scan";
+  }
+  std::optional<wsd::StatusOr<wsd::SyntheticWeb>> web;
+  {
+    const Span span("corpus.build_web");
+    web.emplace(study.BuildWeb(pair.domain, pair.attr));
+  }
+  if (!web->ok()) return web->status().ToString();
+  const wsd::ReviewDetector* det = nullptr;
+  if (wsd::GetAttributeSpec(pair.attr).review_channel) {
+    if (!detector->has_value()) {
+      const Span span("text.detector_train");
+      auto built = wsd::ReviewDetector::CreateDefault(key.seed ^ 0xdecafULL);
+      if (!built.ok()) return built.status().ToString();
+      detector->emplace(std::move(built).value());
+    }
+    det = &**detector;
+  }
+  std::optional<wsd::StatusOr<wsd::ScanResult>> result;
+  {
+    const Span span("extract.scan_pipeline_run");
+    result.emplace(wsd::ScanPipeline(**web, study.pool(), det).Run());
+  }
+  if (!result->ok()) return result->status().ToString();
+  *out = std::make_shared<const wsd::ScanResult>(std::move(**result));
+  const Span span("store.write");
+  return store.Store(key, **out).ok() ? "" : "artifact write failed";
+}
+
 // One cold pass over every pair into the empty store at
-// options.artifact_dir. Digests are computed outside the timed windows.
-ScanPass RunScanPass(const wsd::StudyOptions& options, uint64_t pass_id) {
+// options.artifact_dir: Study::Scan on a fresh Study, or, with `replay`,
+// the same calls made one by one (the traced run's per-layer spans).
+// Digests are computed outside the timed windows.
+ScanPass RunScanPass(const wsd::StudyOptions& options, uint64_t pass_id,
+                     bool replay) {
   ScanPass pass;
   wsd::StudyOptions study_options = options;
-  study_options.artifact_dir.clear();
+  if (replay) study_options.artifact_dir.clear();
   wsd::Study study(study_options);
   const wsd::ArtifactStore store(options.artifact_dir);
   std::optional<wsd::ReviewDetector> detector;
@@ -58,66 +100,42 @@ ScanPass RunScanPass(const wsd::StudyOptions& options, uint64_t pass_id) {
   for (size_t i = 0; i < pairs.size(); ++i) {
     const Pair& pair = pairs[i];
     const wsd::ArtifactKey key = KeyFor(options, pair);
+    std::shared_ptr<const wsd::ScanResult> result;
+    std::string error;
+    shard_seconds.Reset();
     const double cpu0 = SelfCpuSeconds();
     const int64_t t0 = NowNs();
-    std::optional<wsd::StatusOr<wsd::ScanResult>> result;
     {
       const Span pair_span("extract.cold_scan", pass_id * 1000 + i + 1);
-      {
-        const Span span("store.load");
-        if (store.Load(key).ok()) pass.error = "artifact hit in a cold scan";
-      }
-      std::optional<wsd::StatusOr<wsd::SyntheticWeb>> web;
-      {
-        const Span span("corpus.build_web");
-        web.emplace(study.BuildWeb(pair.domain, pair.attr));
-      }
-      if (!web->ok()) {
-        pass.error = PairName(pair) + ": " + web->status().ToString();
-        return pass;
-      }
-      const wsd::ReviewDetector* det = nullptr;
-      if (wsd::GetAttributeSpec(pair.attr).review_channel) {
-        if (!detector.has_value()) {
-          const Span span("text.detector_train");
-          auto built = wsd::ReviewDetector::CreateDefault(options.seed ^ 0xdecafULL);
-          if (!built.ok()) {
-            pass.error = built.status().ToString();
-            return pass;
-          }
-          detector.emplace(std::move(built).value());
+      if (replay) {
+        error = ReplayScan(study, store, key, pair, &detector, &result);
+      } else {
+        auto handle = study.Scan(pair.domain, pair.attr);
+        if (handle.ok()) {
+          result = handle->shared_result();
+        } else {
+          error = handle.status().ToString();
         }
-        det = &*detector;
-      }
-      shard_seconds.Reset();
-      const int64_t run0 = NowNs();
-      {
-        const Span span("extract.scan_pipeline_run");
-        result.emplace(wsd::ScanPipeline(**web, study.pool(), det).Run());
-      }
-      // Straggler ratio of this scan's pool shards, weighted by its wall.
-      const double run_s = SecondsSince(run0);
-      if (shard_seconds.count() > 0 && shard_seconds.sum_seconds() > 0) {
-        ratio_sum += run_s * shard_seconds.max_seconds() *
-                     static_cast<double>(shard_seconds.count()) /
-                     shard_seconds.sum_seconds();
-        ratio_weight += run_s;
-      }
-      if (!result->ok()) {
-        pass.error = PairName(pair) + ": " + result->status().ToString();
-        return pass;
-      }
-      const Span span("store.write");
-      if (!store.Store(key, **result).ok()) {
-        pass.error = PairName(pair) + ": artifact write failed";
       }
     }
     const int64_t t1 = NowNs();
+    if (!error.empty()) {
+      pass.error = PairName(pair) + ": " + error;
+      return pass;
+    }
+    // Straggler ratio of this scan's pool shards, weighted by its wall.
+    const double op_s = 1e-9 * static_cast<double>(t1 - t0);
+    if (shard_seconds.count() > 0 && shard_seconds.sum_seconds() > 0) {
+      ratio_sum += op_s * shard_seconds.max_seconds() *
+                   static_cast<double>(shard_seconds.count()) /
+                   shard_seconds.sum_seconds();
+      ratio_weight += op_s;
+    }
     pass.cpu_s += SelfCpuSeconds() - cpu0;
-    pass.wall_s += 1e-9 * static_cast<double>(t1 - t0);
-    pass.op_ms.push_back(1e-6 * static_cast<double>(t1 - t0));
-    pass.pages += (*result)->stats.pages_scanned;
-    pass.digests.push_back(SnapshotDigest(**result, key));
+    pass.wall_s += op_s;
+    pass.op_ms.push_back(1e3 * op_s);
+    pass.pages += result->stats.pages_scanned;
+    pass.digests.push_back(SnapshotDigest(*result, key));
   }
   pass.artifact_misses = CounterValue("wsd.artifact.misses") - misses0;
   pass.artifact_hits = CounterValue("wsd.artifact.hits") - hits0;
@@ -146,12 +164,13 @@ void CheckPass(const ScanPass& pass, const std::vector<uint64_t>& reference,
                  pass.digests[i]);
   }
   if (pass.artifact_misses != pairs.size() || pass.artifact_hits != 0 ||
-      pass.scan_runs != pairs.size()) {
+      pass.scan_runs != pairs.size() || pass.write_bytes == 0) {
     check->Fail(label + "/isolation",
                 "artifact misses " + std::to_string(pass.artifact_misses) +
                     ", hits " + std::to_string(pass.artifact_hits) +
                     ", scan runs " + std::to_string(pass.scan_runs) +
-                    " (want misses = runs = pair count, hits = 0)");
+                    ", bytes written " + std::to_string(pass.write_bytes) +
+                    " (want misses = runs = pair count, hits = 0, bytes > 0)");
   } else {
     check->Pass();
   }
@@ -288,7 +307,7 @@ double CanarySetup(const RunOptions& run, const std::map<std::string, uint64_t>&
   const std::string dir = run.work_dir + "/canary";
   ResetDir(dir);
   const wsd::StudyOptions options = BatchOptions(kCanarySeed, kCanaryScale, dir);
-  const ScanPass pass = RunScanPass(options, 0);
+  const ScanPass pass = RunScanPass(options, 0, false);
   const double seconds = SecondsSince(t0);
   std::vector<uint64_t> expected;
   for (const Pair& pair : PaperPairs()) {
@@ -317,15 +336,18 @@ int RunScanCold(const RunOptions& run) {
                                   {"canary_seed", std::to_string(kCanarySeed)},
                                   {"canary_scale", std::to_string(kCanaryScale)}}));
 
-  // Set-up: the canary scan-and-check, three times; setup_s is the median.
+  // Set-up: the canary scan-and-check, five times (it is short); setup_s
+  // is the median.
   std::vector<double> setups;
-  for (int i = 0; i < 3; ++i) {
+  for (int i = 0; i < 5; ++i) {
     setups.push_back(CanarySetup(run, digests, run.record_digests && i == 0, &check));
   }
   const double setup_s = MedianOf(setups);
+  ResetPeakRss();
   const wsd::StudyOptions base = BatchOptions(run.seed, kBatchScale, "");
   std::vector<uint64_t> reference;
   PassLog log;
+  for (const Pair& pair : PaperPairs()) log.op_names.push_back(PairName(pair));
   std::vector<double> traced_walls, untraced_walls, traced_idle, traced_shard,
       traced_write_bytes, traced_pages;
   uint64_t pass_id = 0;
@@ -335,12 +357,10 @@ int RunScanCold(const RunOptions& run) {
     options.artifact_dir = run.work_dir + "/pass";
     ResetDir(options.artifact_dir);
     Tracer::Get().set_enabled(traced);
-    const ScanPass pass = RunScanPass(options, pass_id);
+    const ScanPass pass = RunScanPass(options, pass_id, traced);
     Tracer::Get().set_enabled(false);
     if (reference.empty() && pass.error.empty()) reference = pass.digests;
     CheckPass(pass, reference, "pass" + std::to_string(pass_id), &check);
-    double max_ms = 0;
-    for (double ms : pass.op_ms) max_ms = std::max(max_ms, ms);
     if (traced) {
       traced_walls.push_back(pass.wall_s);
       traced_idle.push_back(pass.pool_idle_frac);
@@ -350,9 +370,9 @@ int RunScanCold(const RunOptions& run) {
       return;
     }
     untraced_walls.push_back(pass.wall_s);
+    if (!pass.error.empty()) return;
     log.op_ms.insert(log.op_ms.end(), pass.op_ms.begin(), pass.op_ms.end());
     log.pass_wall_s.push_back(pass.wall_s);
-    log.pass_max_ms.push_back(max_ms);
     log.pass_units.push_back(static_cast<double>(pass.pages));
     log.pass_cpu_s.push_back(pass.cpu_s);
   };
