@@ -15,14 +15,15 @@
 //   wsd.scan.bench.kernel_speedup
 // so a committed BENCH_scan.json records the measured speedup.
 //
-// The SIMD dispatch ablation (BM_StructuralScan/<tier>, registered for
-// every tier the CPU supports) measures the structural-byte scan kernel
-// (BuildHtmlPlanes: '<' '&' '>' quote classification) per dispatch tier
-// over the same corpus, plus the full page scan per tier
-// (BM_PageScanTier/<tier>). It publishes
-//   wsd.scan.bench.simd_<tier>_bytes_per_sec   (structural scan)
+// The SIMD dispatch ablation (BM_PhoneCandidates/<tier>, registered for
+// every tier the CPU supports) measures a byte-classification primitive
+// (BuildPhoneCandidates: the phone candidate-start plane) per dispatch
+// tier over the raw page bytes of the same corpus, plus the full page
+// scan per tier (BM_PageScanTier/<tier>). It publishes
+//   wsd.scan.bench.simd_<tier>_bytes_per_sec   (classification pass)
 //   wsd.scan.bench.simd_page_scan_<tier>_pages_per_sec
-//   wsd.scan.bench.simd_speedup   (best tier / scalar, structural scan)
+//   wsd.scan.bench.simd_speedup   (avx2 / scalar, classification; only
+//                                  on CPUs with AVX2)
 //
 // The snapshot-load trio (BM_SnapshotDecodeV1 / BM_SnapshotParseV2 /
 // BM_SnapshotMmapLoad) compares the varint decoder against the aligned
@@ -233,26 +234,27 @@ void BM_PageScanLegacy(benchmark::State& state) {
 BENCHMARK(BM_PageScanLegacy);
 
 // ---------------------------------------------------------------------
-// SIMD dispatch ablation. The structural-byte scan benchmark times the
-// kernel primitive itself — one pass classifying every byte of the
-// corpus into the '<' '&' '>' quote bit planes — pinned to one dispatch
-// tier. Every tier produces bit-identical planes (KernelEquivalenceTest)
-// so bytes/sec is directly comparable across tiers; the scalar tier is
-// the PR 3 byte-at-a-time classification loop. The page-scan variant
-// times the full kernel (extract + match) per tier, which shows the
-// Amdahl-limited end-to-end effect of the same dispatch.
+// SIMD dispatch ablation. The classification benchmark times a kernel
+// primitive itself — one pass classifying every byte of the corpus into
+// the phone candidate-start bit plane — pinned to one dispatch tier.
+// Both tiers produce bit-identical planes (simd_test) so bytes/sec is
+// directly comparable between them; the scalar tier is the naive
+// per-byte reference builder. The page-scan variant times the full
+// kernel (extract + match) per tier, which shows the Amdahl-limited
+// end-to-end effect of the same dispatch.
 
-void StructuralScan(benchmark::State& state, simd::Tier tier) {
+void PhoneCandidates(benchmark::State& state, simd::Tier tier) {
   const PageCorpus& corpus = PagesOf(Attribute::kPhone);
   const simd::ScopedTierOverride pinned(tier);
-  simd::BitPlane lt, amp, gt, quote;
+  simd::BitPlane candidates;
   uint64_t bytes = 0;
   const Timer timer;
   for (auto _ : state) {
     for (const Page& page : corpus.pages) {
-      simd::BuildHtmlPlanes(page.html, &lt, &amp, &gt, &quote);
-      benchmark::DoNotOptimize(quote.words());
+      simd::BuildPhoneCandidates(page.html, &candidates);
+      benchmark::DoNotOptimize(candidates.words());
     }
+    benchmark::ClobberMemory();
     bytes += corpus.bytes;
   }
   const double seconds = timer.ElapsedSeconds();
@@ -304,8 +306,8 @@ void PageScanTier(benchmark::State& state, simd::Tier tier) {
 void RegisterSimdAblation() {
   for (const simd::Tier tier : simd::AvailableTiers()) {
     ::benchmark::RegisterBenchmark(
-        (std::string("BM_StructuralScan/") + simd::TierName(tier)).c_str(),
-        [tier](benchmark::State& state) { StructuralScan(state, tier); });
+        (std::string("BM_PhoneCandidates/") + simd::TierName(tier)).c_str(),
+        [tier](benchmark::State& state) { PhoneCandidates(state, tier); });
     ::benchmark::RegisterBenchmark(
         (std::string("BM_PageScanTier/") + simd::TierName(tier)).c_str(),
         [tier](benchmark::State& state) { PageScanTier(state, tier); });
@@ -437,26 +439,18 @@ int main(int argc, char** argv) {
     std::cout << "\nscan kernel ablation: " << kernel / legacy
               << "x pages/sec vs. legacy (phone corpus, 1 thread)\n";
   }
-  const double scalar_scan =
-      registry.GetGauge("wsd.scan.bench.simd_scalar_bytes_per_sec").value();
-  double best_scan = 0.0;
-  const char* best_tier = "scalar";
-  for (const wsd::simd::Tier tier : wsd::simd::AvailableTiers()) {
-    const double rate =
-        registry
-            .GetGauge(std::string("wsd.scan.bench.simd_") +
-                      wsd::simd::TierName(tier) + "_bytes_per_sec")
-            .value();
-    if (rate > best_scan) {
-      best_scan = rate;
-      best_tier = wsd::simd::TierName(tier);
+  if (wsd::simd::AvailableTiers().back() == wsd::simd::Tier::kAvx2) {
+    const double scalar_scan =
+        registry.GetGauge("wsd.scan.bench.simd_scalar_bytes_per_sec").value();
+    const double avx2_scan =
+        registry.GetGauge("wsd.scan.bench.simd_avx2_bytes_per_sec").value();
+    if (scalar_scan > 0.0 && avx2_scan > 0.0) {
+      registry.GetGauge("wsd.scan.bench.simd_speedup")
+          .Set(avx2_scan / scalar_scan);
+      std::cout << "simd classification ablation: "
+                << avx2_scan / scalar_scan
+                << "x bytes/sec avx2 vs. scalar (phone candidate plane)\n";
     }
-  }
-  if (scalar_scan > 0.0 && best_scan > 0.0) {
-    registry.GetGauge("wsd.scan.bench.simd_speedup")
-        .Set(best_scan / scalar_scan);
-    std::cout << "simd structural scan ablation: " << best_scan / scalar_scan
-              << "x bytes/sec at tier " << best_tier << " vs. scalar\n";
   }
   const double v1_decode =
       registry.GetGauge("wsd.store.bench.v1_decode_mb_per_sec").value();

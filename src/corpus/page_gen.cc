@@ -22,7 +22,7 @@ constexpr uint64_t kAnnotationSeedSalt = 0x616e6e6f74ULL;  // "annot"
 
 // Page layout family. Real directory sites render listings as blocks,
 // table rows, or bullet lists; the extractor must handle all of them
-// (and the tokenizer/DOM get exercised on all three element families).
+// (and the tokenizer gets exercised on all three element families).
 enum class PageLayout : int {
   kDivBlocks = 0,
   kTableRows = 1,

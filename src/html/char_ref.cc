@@ -113,25 +113,6 @@ size_t TryDecodeRef(std::string_view s, size_t i, std::string& out) {
 
 }  // namespace
 
-size_t TryDecodeRefAt(std::string_view s, size_t limit, size_t i,
-                      std::string* out) {
-  // Same accept/reject decisions as TryDecodeRef on s.substr(0, limit):
-  // that caps the ';' search at `limit`, and rejects any ';' further than
-  // 10 bytes out — so scanning only the next 10 bytes finds the same
-  // first ';' whenever one can be accepted, and rejects otherwise.
-  const size_t cap = std::min(limit, i + 11);
-  size_t semi = std::string_view::npos;
-  for (size_t j = i + 1; j < cap; ++j) {
-    if (s[j] == ';') {
-      semi = j;
-      break;
-    }
-  }
-  if (semi == std::string_view::npos) return i;
-  if (!DecodeRefBody(s.substr(i + 1, semi - i - 1), *out)) return i;
-  return semi + 1;
-}
-
 std::string DecodeCharRefs(std::string_view s) {
   std::string out;
   out.reserve(s.size());

@@ -19,16 +19,6 @@ std::string DecodeCharRefs(std::string_view s);
 /// allocation once *out's capacity covers the decoded text.
 void DecodeCharRefsInto(std::string_view s, std::string* out);
 
-/// Tries to decode one character reference starting at s[i] (which must
-/// be '&'), considering only s[0, limit). On success appends the decoded
-/// text to *out and returns the index one past the ';'; on failure
-/// returns i and appends nothing (the caller copies the '&' verbatim).
-/// Decision-for-decision identical to DecodeCharRefsInto's handling of
-/// the same '&' in s.substr(0, limit) — the bitmap-index scan kernel
-/// uses this to decode text runs in place without re-slicing the page.
-size_t TryDecodeRefAt(std::string_view s, size_t limit, size_t i,
-                      std::string* out);
-
 /// The pre-kernel implementation of DecodeCharRefs: a per-character copy
 /// loop into a fresh string. Identical output; kept verbatim as the
 /// ablation baseline for ExtractVisibleTextLegacy / bench_micro_scan.

@@ -2,7 +2,6 @@
 
 #include "html/char_ref.h"
 #include "html/tokenizer.h"
-#include "util/simd.h"
 #include "util/string_util.h"
 
 namespace wsd {
@@ -109,6 +108,15 @@ size_t FindCaseInsensitive(std::string_view haystack, std::string_view needle,
   return std::string_view::npos;
 }
 
+}  // namespace
+
+std::string ExtractVisibleText(std::string_view page_html) {
+  std::string out;
+  out.reserve(page_html.size() / 4);
+  ExtractVisibleTextInto(page_html, &out);
+  return out;
+}
+
 // The kernel's hottest loop: a fused single-pass scanner over the raw
 // HTML instead of tokenizer + per-token dispatch. It replicates the
 // Tokenizer's lexing rules exactly (same helpers, same recovery for
@@ -119,11 +127,11 @@ size_t FindCaseInsensitive(std::string_view haystack, std::string_view needle,
 // the token-based implementation is enforced by the scan-kernel tests
 // (ExtractVisibleTextLegacy is the oracle).
 //
-// This is the kScalar dispatch tier, kept byte for byte as the PR 3
-// kernel — the ablation baseline the SIMD tiers are measured against.
-// The bitmap-index variant below handles every other tier.
-void ExtractVisibleTextScalar(std::string_view page_html,
-                              std::string* out) {
+// The same byte loop runs at every SIMD dispatch tier. On tag-dense
+// pages per-tag lexing and output, not byte classification, dominate:
+// walking precomputed '<'/'&'/'>'/quote bit planes measured no faster
+// end to end, even at AVX2.
+void ExtractVisibleTextInto(std::string_view page_html, std::string* out) {
   const std::string_view s = page_html;
   size_t pos = 0;
   // True between a raw-text (<script>/<style>) skip and the next complete
@@ -193,182 +201,6 @@ void ExtractVisibleTextScalar(std::string_view page_html,
         in_raw_text = true;
       }
     }
-  }
-}
-
-// Reusable structural-byte planes for the bitmap-index kernel: one bit
-// per page byte for '<' and one for '&'. Thread-local so pool workers
-// never contend; capacities climb to the largest page seen and are then
-// reused, preserving the kernel's steady-state zero-allocation contract.
-struct TextExtractPlanes {
-  simd::BitPlane lt;
-  simd::BitPlane amp;
-  simd::BitPlane gt;
-  simd::BitPlane quote;
-};
-
-TextExtractPlanes& Planes() {
-  static thread_local TextExtractPlanes planes;
-  return planes;
-}
-
-// Decodes s[i, end) into *out, jumping between '&'s via the amp plane.
-// Decision-for-decision identical to
-// DecodeCharRefsInto(s.substr(i, end - i), out) — TryDecodeRefAt caps
-// the ';' search at `end` exactly like the substr boundary would.
-void DecodeTextRunIndexed(std::string_view s, size_t i, size_t end,
-                          const simd::BitPlane& amps, std::string* out) {
-  while (i < end) {
-    const size_t amp = amps.NextSet(i);  // npos compares >= end
-    if (amp >= end) {
-      out->append(s.substr(i, end - i));
-      return;
-    }
-    out->append(s.substr(i, amp - i));
-    const size_t next = TryDecodeRefAt(s, end, amp, out);
-    if (next != amp) {
-      i = next;
-    } else {
-      out->push_back('&');
-      i = amp + 1;
-    }
-  }
-}
-
-// FindCaseInsensitive(s, needle, from) for needles that start with '<'
-// (the raw-text close tags): a match can only begin at a '<', so walk
-// the lt plane instead of every byte. '<' has no case variant, so this
-// visits exactly the candidate set the scalar scan accepts.
-size_t FindRawTextClose(std::string_view s, std::string_view needle,
-                        size_t from, const simd::BitPlane& lts) {
-  if (s.size() < needle.size()) return std::string_view::npos;
-  const size_t limit = s.size() - needle.size();
-  for (size_t p = lts.NextSet(from); p != simd::BitPlane::npos;
-       p = lts.NextSet(p + 1)) {
-    if (p > limit) return std::string_view::npos;
-    bool match = true;
-    for (size_t j = 1; j < needle.size(); ++j) {
-      if (ToLowerChar(s[p + j]) != ToLowerChar(needle[j])) {
-        match = false;
-        break;
-      }
-    }
-    if (match) return p;
-  }
-  return std::string_view::npos;
-}
-
-// Tag-end resolution from the planes: the first '>' at/after `from` is
-// the answer whenever no quote precedes it (the overwhelmingly common
-// case — two NextSet/AnyInRange word probes); otherwise fall back to the
-// quote-aware state machine, which by construction agrees whenever the
-// fast path fires.
-size_t TagEndIndexed(std::string_view s, size_t from,
-                     const TextExtractPlanes& planes) {
-  const size_t gt = planes.gt.NextSet(from);
-  if (gt == simd::BitPlane::npos) return std::string_view::npos;
-  if (!planes.quote.AnyInRange(from, gt)) return gt;
-  return simd::FindTagEnd(s, from);
-}
-
-// The SIMD-tier kernel: one vectorized pass builds the '<'/'&'/'>'/quote
-// planes, then the same lexing state machine as ExtractVisibleTextScalar
-// walks set bits instead of calling find() per segment — the per-tag
-// memchr and quote-scan overhead (a '<' every ~16 bytes on listing
-// pages) is what dominated the scalar profile. Control flow mirrors the
-// scalar kernel line for line; every divergence would be caught by the
-// per-tier equivalence tests and the forced-tier differential fuzzer.
-void ExtractVisibleTextIndexed(std::string_view page_html,
-                               std::string* out) {
-  const std::string_view s = page_html;
-  TextExtractPlanes& planes = Planes();
-  simd::BuildHtmlPlanes(s, &planes.lt, &planes.amp, &planes.gt,
-                        &planes.quote);
-  size_t pos = 0;
-  bool in_raw_text = false;
-  while (pos < s.size()) {
-    if (s[pos] != '<') {
-      size_t lt = planes.lt.NextSet(pos);
-      if (lt == simd::BitPlane::npos) lt = s.size();
-      if (!planes.amp.AnyInRange(pos, lt)) {
-        out->append(s.substr(pos, lt - pos));  // ref-free run: bulk copy
-      } else {
-        DecodeTextRunIndexed(s, pos, lt, planes.amp, out);
-      }
-      pos = lt;
-      continue;
-    }
-    if (pos + 1 < s.size() && s[pos + 1] == '!') {
-      // Comment or doctype: contributes no text and no boundary.
-      if (s.compare(pos, 4, "<!--") == 0) {
-        const size_t close = s.find("-->", pos + 4);
-        pos = close == std::string_view::npos ? s.size() : close + 3;
-      } else {
-        const size_t close = s.find('>', pos);
-        pos = close == std::string_view::npos ? s.size() : close + 1;
-      }
-      continue;
-    }
-    const bool is_end_tag = pos + 1 < s.size() && s[pos + 1] == '/';
-    const size_t name_start = pos + (is_end_tag ? 2 : 1);
-    if (name_start >= s.size() || !IsAlpha(s[name_start])) {
-      // Stray '<' (e.g. "1 < 2"): text, like the tokenizer's recovery.
-      out->push_back('<');
-      ++pos;
-      continue;
-    }
-    size_t name_end = name_start + 1;
-    while (name_end < s.size() && IsTagNameChar(s[name_end])) ++name_end;
-    const size_t gt = name_end < s.size() && s[name_end] == '>'
-                          ? name_end
-                          : TagEndIndexed(s, name_end, planes);
-    if (gt == std::string_view::npos) {
-      // Unterminated tag at EOF: the rest is text (unless still in
-      // raw-text context, where the tokenizer drops it).
-      if (!in_raw_text) DecodeTextRunIndexed(s, pos, s.size(), planes.amp, out);
-      return;
-    }
-    const std::string_view name =
-        s.substr(name_start, name_end - name_start);
-    const bool self_closing = !is_end_tag && gt > name_end &&
-                              s[gt - 1] == '/';
-    pos = gt + 1;
-    in_raw_text = false;  // any complete tag ends raw-text context
-    if (IsBlockBoundary(name)) AppendBoundary(out);
-    if (!is_end_tag && !self_closing &&
-        (name[0] == 's' || name[0] == 'S')) {
-      // Raw-text elements: skip content up to the closing tag, which the
-      // next iteration lexes normally (it adds no text or boundary).
-      std::string_view close_needle;
-      if (EqualsIgnoreCase(name, "script")) {
-        close_needle = "</script";
-      } else if (EqualsIgnoreCase(name, "style")) {
-        close_needle = "</style";
-      }
-      if (!close_needle.empty()) {
-        const size_t close = FindRawTextClose(s, close_needle, pos,
-                                              planes.lt);
-        pos = close == std::string_view::npos ? s.size() : close;
-        in_raw_text = true;
-      }
-    }
-  }
-}
-
-}  // namespace
-
-std::string ExtractVisibleText(std::string_view page_html) {
-  std::string out;
-  out.reserve(page_html.size() / 4);
-  ExtractVisibleTextInto(page_html, &out);
-  return out;
-}
-
-void ExtractVisibleTextInto(std::string_view page_html, std::string* out) {
-  if (simd::ActiveTier() == simd::Tier::kScalar) {
-    ExtractVisibleTextScalar(page_html, out);
-  } else {
-    ExtractVisibleTextIndexed(page_html, out);
   }
 }
 

@@ -1,12 +1,31 @@
 #include "html/tokenizer.h"
 
-#include "util/simd.h"
 #include "util/string_util.h"
 
 namespace wsd {
 namespace html {
 
 namespace {
+
+// Case-insensitive search for `needle` (ASCII) in `haystack` from `from`.
+size_t FindCaseInsensitive(std::string_view haystack, std::string_view needle,
+                           size_t from) {
+  if (needle.empty() || haystack.size() < needle.size()) {
+    return std::string_view::npos;
+  }
+  const size_t limit = haystack.size() - needle.size();
+  for (size_t i = from; i <= limit; ++i) {
+    bool match = true;
+    for (size_t j = 0; j < needle.size(); ++j) {
+      if (ToLowerChar(haystack[i + j]) != ToLowerChar(needle[j])) {
+        match = false;
+        break;
+      }
+    }
+    if (match) return i;
+  }
+  return std::string_view::npos;
+}
 
 void AssignLower(std::string_view s, std::string* out) {
   out->clear();
@@ -21,8 +40,8 @@ bool Tokenizer::LexRawText(TokenView* view) {
   // from the static element literal, so no allocation happens here.
   const size_t close_pos =
       raw_text_element_ == "script"
-          ? simd::FindCaseInsensitive(input_, "</script", pos_)
-          : simd::FindCaseInsensitive(input_, "</style", pos_);
+          ? FindCaseInsensitive(input_, "</script", pos_)
+          : FindCaseInsensitive(input_, "</style", pos_);
   const size_t end =
       close_pos == std::string_view::npos ? input_.size() : close_pos;
   raw_text_element_ = std::string_view();

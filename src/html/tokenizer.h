@@ -5,7 +5,6 @@
 #include <string_view>
 #include <vector>
 
-#include "util/simd.h"
 #include "util/string_util.h"
 
 namespace wsd {
@@ -62,7 +61,7 @@ struct TokenView {
 /// Two interfaces share one lexer: NextView yields views into the input
 /// and never allocates (the scan kernel path); Next materializes the same
 /// token stream into an owning Token with lower-cased names and parsed
-/// attributes (the DOM-building path).
+/// attributes (the ExtractAnchors path).
 class Tokenizer {
  public:
   /// `input` must outlive the tokenizer.
@@ -89,11 +88,20 @@ class Tokenizer {
   }
 
   // Finds the end of a tag ('>') starting after '<', honoring quoted
-  // attribute values that may contain '>'. Dispatches to the active SIMD
-  // tier; at Tier::kScalar this is the original quote state machine.
-  // Returns npos if unterminated.
+  // attribute values that may contain '>'. Returns npos if unterminated.
   static size_t FindTagEnd(std::string_view s, size_t start) {
-    return simd::FindTagEnd(s, start);
+    char quote = 0;
+    for (size_t i = start; i < s.size(); ++i) {
+      const char c = s[i];
+      if (quote != 0) {
+        if (c == quote) quote = 0;
+      } else if (c == '"' || c == '\'') {
+        quote = c;
+      } else if (c == '>') {
+        return i;
+      }
+    }
+    return std::string_view::npos;
   }
 
   std::string_view input_;

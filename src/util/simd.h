@@ -10,50 +10,43 @@
 namespace wsd {
 namespace simd {
 
-/// Dispatch tiers for the vectorized scan kernels, ordered by
-/// preference. Selection happens once at startup from CPUID (util/cpu.h)
-/// plus the WSD_FORCE_* env overrides, and is published as the
-/// `wsd.scan.simd_tier` gauge.
+/// Dispatch tiers for the vectorized scan kernels. Selection happens
+/// once at startup from CPUID (util/cpu.h) plus the WSD_FORCE_SCALAR env
+/// override, and is published as the `wsd.scan.simd_tier` gauge, whose
+/// value is the enumerator's (0 scalar, 3 avx2).
 ///
-///  - kScalar: the PR 3 scalar kernel paths, byte for byte — the
-///    dispatch floor and the ablation baseline. Never auto-selected;
-///    reached only via WSD_FORCE_SCALAR (or a test override).
-///  - kSwar:   the bitmap-index kernels with portable SWAR
-///    (SIMD-within-a-register, plain uint64 arithmetic) classifiers.
-///    The best tier on non-x86 hardware.
-///  - kSse2:   128-bit classifiers; baseline on x86-64.
-///  - kAvx2:   256-bit classifiers.
+///  - kScalar: the byte-at-a-time phone/ISBN/review-tokenizer loops and
+///    the naive reference builders. Selected on CPUs without AVX2, or
+///    via WSD_FORCE_SCALAR.
+///  - kAvx2:   256-bit classifiers build the phone/ISBN candidate and
+///    word-char planes the extractors walk.
 ///
-/// Every tier produces bit-identical output (enforced by simd_test, the
-/// kernel equivalence tests, and the differential fuzzers); only the
-/// bytes/sec differ.
+/// HTML lexing (the tokenizer and visible-text extraction) runs the same
+/// byte loops at both tiers. Both tiers produce bit-identical output
+/// (enforced by simd_test, the kernel equivalence tests, and the
+/// differential fuzzers); only the bytes/sec differ.
 enum class Tier : int {
   kScalar = 0,
-  kSwar = 1,
-  kSse2 = 2,
   kAvx2 = 3,
 };
 
-/// Short lower-case name for logs/benches: "scalar", "swar", "sse2",
-/// "avx2".
+/// Short lower-case name for logs/benches: "scalar", "avx2".
 const char* TierName(Tier tier);
 
-/// The tier selected at startup (detection + env overrides). The first
+/// The tier selected at startup (detection + env override). The first
 /// call initializes dispatch, logs one line, and sets the
 /// `wsd.scan.simd_tier` gauge; later calls are one relaxed atomic load.
 Tier ActiveTier();
 
-/// Every tier this machine can execute, in ascending order. kScalar and
-/// kSwar are always runnable; kSse2/kAvx2 appear when the CPU supports
-/// them. Tests iterate this to prove per-tier equivalence.
+/// Every tier this machine can execute, in ascending order: kScalar,
+/// plus kAvx2 when the CPU supports it. Tests iterate this to prove
+/// per-tier equivalence.
 std::vector<Tier> AvailableTiers();
 
 /// Pure tier-selection policy, split out for unit testing: `best` is the
-/// strongest tier the CPU supports, the flags mirror WSD_FORCE_SCALAR /
-/// WSD_FORCE_SWAR / WSD_FORCE_SSE2 (first match wins; a forced tier is
-/// clamped to `best` so a force never selects unsupported instructions).
-Tier ChooseTier(Tier best, bool force_scalar, bool force_swar,
-                bool force_sse2);
+/// strongest tier the CPU supports; `force_scalar` mirrors
+/// WSD_FORCE_SCALAR.
+Tier ChooseTier(Tier best, bool force_scalar);
 
 /// Temporarily repoints dispatch at `tier` (which must be in
 /// AvailableTiers()), for tests and the bench ablation. Restores the
@@ -72,18 +65,11 @@ class ScopedTierOverride {
   Tier prev_;
 };
 
-/// The per-tier kernel primitives. All builders write one bit per input
+/// The per-tier kernel primitives. Each builder writes one bit per input
 /// byte into `ceil(n / 64)` little-endian words (bit i of word i/64 is
 /// byte i); tail bits past n are zero. Intrinsics live only in
 /// util/simd.cc (enforced by wsd_lint's [simd-confinement] rule).
 struct ScanOps {
-  // The HTML structural planes, all four in one pass: bit set iff
-  // s[i] == '<' (lt) / '&' (amp) / '>' (gt) / '"' or '\'' (quote). The
-  // text-extraction kernel walks lt, jumps '&'s through amp, and
-  // resolves tag ends from gt directly whenever quote has no bit before
-  // the candidate '>' (the quote-aware state machine is the rare path).
-  void (*build_html)(const char* s, size_t n, uint64_t* lt, uint64_t* amp,
-                     uint64_t* gt, uint64_t* quote);
   // bit set iff a phone parse may start at s[i]: digit, '(' or '+',
   // minus digits preceded by a digit (mid-run positions never match).
   void (*build_phone_candidates)(const char* s, size_t n, uint64_t* bits);
@@ -92,12 +78,6 @@ struct ScanOps {
   void (*build_isbn_candidates)(const char* s, size_t n, uint64_t* bits);
   // bit set iff s[i] is a classification word char (alnum or '\'').
   void (*build_word_chars)(const char* s, size_t n, uint64_t* bits);
-  // First '>' at/after `from` outside single/double quotes, npos if
-  // unterminated — Tokenizer::FindTagEnd semantics.
-  size_t (*find_tag_end)(const char* s, size_t n, size_t from);
-  // First case-insensitive occurrence of needle at/after `from`.
-  size_t (*find_ci)(const char* s, size_t n, size_t from,
-                    const char* needle, size_t needle_len);
 };
 
 /// Primitive table for the active tier / an explicit tier. OpsForTier
@@ -154,44 +134,13 @@ class BitPlane {
     return pos < size_ ? pos : size_;
   }
 
-  /// True iff any bit is set in [from, to). Requires to <= size().
-  /// Word-granular, so testing a short range costs a handful of ops —
-  /// the kernel's "does this text run contain a '&' at all" /
-  /// "is there a quote before this '>'" fast-path gate.
-  bool AnyInRange(size_t from, size_t to) const {
-    if (from >= to) return false;
-    const size_t w0 = from >> 6;
-    const size_t w1 = (to - 1) >> 6;
-    const uint64_t m0 = ~uint64_t{0} << (from & 63);
-    const uint64_t m1 = ~uint64_t{0} >> (63 - ((to - 1) & 63));
-    if (w0 == w1) return (words_[w0] & m0 & m1) != 0;
-    if ((words_[w0] & m0) != 0) return true;
-    for (size_t w = w0 + 1; w < w1; ++w) {
-      if (words_[w] != 0) return true;
-    }
-    return (words_[w1] & m1) != 0;
-  }
-
-  /// Capacity in bytes, for scratch-footprint accounting.
-  size_t MemoryFootprint() const { return words_.capacity() * 8; }
-
  private:
   std::vector<uint64_t> words_;
   size_t size_ = 0;
 };
 
-/// Dispatching wrappers over Ops(). The builders Resize the planes to
-/// s.size() first.
-inline void BuildHtmlPlanes(std::string_view s, BitPlane* lt, BitPlane* amp,
-                            BitPlane* gt, BitPlane* quote) {
-  lt->Resize(s.size());
-  amp->Resize(s.size());
-  gt->Resize(s.size());
-  quote->Resize(s.size());
-  Ops().build_html(s.data(), s.size(), lt->words(), amp->words(),
-                   gt->words(), quote->words());
-}
-
+/// Dispatching wrappers over Ops(). Each Resizes the plane to s.size()
+/// first.
 inline void BuildPhoneCandidates(std::string_view s, BitPlane* bits) {
   bits->Resize(s.size());
   Ops().build_phone_candidates(s.data(), s.size(), bits->words());
@@ -205,16 +154,6 @@ inline void BuildIsbnCandidates(std::string_view s, BitPlane* bits) {
 inline void BuildWordChars(std::string_view s, BitPlane* bits) {
   bits->Resize(s.size());
   Ops().build_word_chars(s.data(), s.size(), bits->words());
-}
-
-inline size_t FindTagEnd(std::string_view s, size_t from) {
-  return Ops().find_tag_end(s.data(), s.size(), from);
-}
-
-inline size_t FindCaseInsensitive(std::string_view s, std::string_view needle,
-                                  size_t from) {
-  return Ops().find_ci(s.data(), s.size(), from, needle.data(),
-                       needle.size());
 }
 
 }  // namespace simd

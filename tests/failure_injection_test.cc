@@ -12,7 +12,6 @@
 #include "extract/href_extractor.h"
 #include "extract/isbn_extractor.h"
 #include "extract/phone_extractor.h"
-#include "html/dom.h"
 #include "html/text_extract.h"
 #include "html/tokenizer.h"
 #include "util/rng.h"
@@ -77,8 +76,6 @@ TEST_P(MutatedPageTest, PipelineSurvivesRandomCorruption) {
   // None of these may crash; outputs must stay well-formed.
   const auto tokens = html::Tokenizer::TokenizeAll(page);
   (void)tokens;
-  const html::Document doc = html::ParseDocument(page);
-  (void)doc;
   const std::string text = html::ExtractVisibleText(page);
   for (const PhoneMatch& m : ExtractPhones(text)) {
     EXPECT_TRUE(IsValidNanp(m.digits));
@@ -102,7 +99,6 @@ TEST_P(RandomBytesTest, ParsersNeverCrashOnGarbage) {
   std::string garbage(2048, '\0');
   for (char& c : garbage) c = static_cast<char>(rng.Uniform(256));
   (void)html::Tokenizer::TokenizeAll(garbage);
-  (void)html::ParseDocument(garbage);
   (void)html::ExtractVisibleText(garbage);
   (void)ExtractPhones(garbage);
   (void)ExtractIsbns(garbage);
@@ -116,12 +112,12 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RandomBytesTest,
                          ::testing::Range<uint64_t>(50, 66));
 
 TEST(PathologicalInputTest, DeepNestingAndLongRuns) {
-  // 20k unclosed divs: the DOM builder must not blow the stack on build.
+  // 20k unclosed divs: the streaming extractor keeps no element stack,
+  // so depth only costs boundary checks.
   std::string deep;
   for (int i = 0; i < 20000; ++i) deep += "<div>";
   deep += "x";
-  const html::Document doc = html::ParseDocument(deep);
-  EXPECT_NE(doc.root, nullptr);
+  EXPECT_EQ(html::ExtractVisibleText(deep), "x");
 
   // A megabyte of digits: extractors must reject it quickly (single run).
   const std::string digits(1 << 20, '7');
@@ -140,7 +136,6 @@ TEST(PathologicalInputTest, UnterminatedConstructs) {
         "<div attr='unterminated", "&#x", "&#xxxxxxxxxxxx;"}) {
     (void)html::Tokenizer::TokenizeAll(input);
     (void)html::ExtractVisibleText(input);
-    (void)html::ParseDocument(input);
   }
   SUCCEED();
 }

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "html/char_ref.h"
-#include "html/dom.h"
 #include "html/text_extract.h"
 #include "html/tokenizer.h"
 
@@ -121,53 +120,6 @@ TEST(TokenizerTest, UnterminatedTagAtEofBecomesText) {
 
 TEST(TokenizerTest, EmptyInput) {
   EXPECT_TRUE(Tokenizer::TokenizeAll("").empty());
-}
-
-// ---------- DOM ----------
-
-TEST(DomTest, BuildsTree) {
-  Document doc = ParseDocument(
-      "<html><body><div id=a><p>one</p><p>two</p></div></body></html>");
-  auto divs = doc.ElementsByTag("div");
-  ASSERT_EQ(divs.size(), 1u);
-  ASSERT_NE(divs[0]->FindAttribute("id"), nullptr);
-  EXPECT_EQ(*divs[0]->FindAttribute("id"), "a");
-  auto ps = doc.ElementsByTag("p");
-  ASSERT_EQ(ps.size(), 2u);
-  EXPECT_EQ(ps[0]->InnerText(), "one");
-  EXPECT_EQ(ps[1]->InnerText(), "two");
-}
-
-TEST(DomTest, AutoClosesParagraphs) {
-  // Unclosed <p> elements: the second <p> must be a sibling, not a child.
-  Document doc = ParseDocument("<body><p>one<p>two</body>");
-  auto ps = doc.ElementsByTag("p");
-  ASSERT_EQ(ps.size(), 2u);
-  EXPECT_EQ(ps[0]->InnerText(), "one");
-  EXPECT_EQ(ps[1]->InnerText(), "two");
-  EXPECT_EQ(ps[0]->parent, ps[1]->parent);
-}
-
-TEST(DomTest, VoidElementsTakeNoChildren) {
-  Document doc = ParseDocument("<div><br>text after br</div>");
-  auto brs = doc.ElementsByTag("br");
-  ASSERT_EQ(brs.size(), 1u);
-  EXPECT_TRUE(brs[0]->children.empty());
-  EXPECT_EQ(doc.ElementsByTag("div")[0]->InnerText(), "text after br");
-}
-
-TEST(DomTest, MismatchedEndTagsRecover) {
-  Document doc = ParseDocument("<div><b>x</i></b></div><p>y</p>");
-  EXPECT_EQ(doc.ElementsByTag("p").size(), 1u);
-  EXPECT_EQ(doc.ElementsByTag("b").size(), 1u);
-}
-
-TEST(DomTest, InnerTextDecodesAndSkipsScript) {
-  Document doc = ParseDocument(
-      "<div>caf&eacute;&amp;bar<script>var x=1;</script></div>");
-  // &eacute; is not in our named table -> passes through raw; &amp; decodes.
-  EXPECT_EQ(doc.ElementsByTag("div")[0]->InnerText(),
-            "caf&eacute;&bar");
 }
 
 // ---------- text extraction ----------

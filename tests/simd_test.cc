@@ -1,19 +1,19 @@
 // Per-tier equivalence tests for the vectorized scan primitives: every
 // dispatch tier must produce output bit-identical to the scalar
 // reference (OpsForTier(kScalar)) for every primitive, including at
-// block boundaries (8/16/32-byte SWAR/SSE2/AVX2 strides and the scalar
-// tail). Also covers the tier-selection policy, the override/gauge
-// plumbing, and the BitPlane helpers the kernels lean on.
+// block boundaries (the 32-byte AVX2 stride and the zero-padded tail).
+// Also covers the tier-selection policy, the override/gauge plumbing,
+// and the BitPlane helpers the kernels lean on.
 
 #include "util/simd.h"
 
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <random>
 #include <string>
 #include <vector>
 
+#include "util/cpu.h"
 #include "util/metrics.h"
 
 namespace wsd {
@@ -39,51 +39,10 @@ void ExpectBuilderMatch(Tier tier, const std::string& input,
   }
 }
 
-void ExpectHtmlMatch(Tier tier, const std::string& input) {
-  const size_t words = PlaneWords(input.size());
-  std::vector<uint64_t> got(4 * (words + 1), ~uint64_t{0});
-  std::vector<uint64_t> want(4 * (words + 1), ~uint64_t{0});
-  const size_t stride = words + 1;
-  OpsForTier(tier).build_html(input.data(), input.size(), got.data(),
-                              got.data() + stride, got.data() + 2 * stride,
-                              got.data() + 3 * stride);
-  OpsForTier(Tier::kScalar)
-      .build_html(input.data(), input.size(), want.data(),
-                  want.data() + stride, want.data() + 2 * stride,
-                  want.data() + 3 * stride);
-  static const char* kPlane[] = {"lt", "amp", "gt", "quote"};
-  for (int p = 0; p < 4; ++p) {
-    for (size_t w = 0; w < words; ++w) {
-      ASSERT_EQ(got[p * stride + w], want[p * stride + w])
-          << TierName(tier) << " plane " << kPlane[p] << " word " << w
-          << " n=" << input.size();
-    }
-  }
-}
-
-void ExpectFindsMatch(Tier tier, const std::string& input) {
-  const ScanOps& ops = OpsForTier(tier);
-  const ScanOps& ref = OpsForTier(Tier::kScalar);
-  for (size_t from = 0; from <= input.size(); from += 1 + from / 7) {
-    ASSERT_EQ(ops.find_tag_end(input.data(), input.size(), from),
-              ref.find_tag_end(input.data(), input.size(), from))
-        << TierName(tier) << " find_tag_end from=" << from;
-    for (const char* needle : {"</script", "</style", "<A", "x"}) {
-      ASSERT_EQ(ops.find_ci(input.data(), input.size(), from, needle,
-                            std::strlen(needle)),
-                ref.find_ci(input.data(), input.size(), from, needle,
-                            std::strlen(needle)))
-          << TierName(tier) << " find_ci '" << needle << "' from=" << from;
-    }
-  }
-}
-
 void ExpectAllPrimitivesMatch(Tier tier, const std::string& input) {
-  ExpectHtmlMatch(tier, input);
   ExpectBuilderMatch(tier, input, &ScanOps::build_phone_candidates);
   ExpectBuilderMatch(tier, input, &ScanOps::build_isbn_candidates);
   ExpectBuilderMatch(tier, input, &ScanOps::build_word_chars);
-  ExpectFindsMatch(tier, input);
 }
 
 class SimdTierTest : public ::testing::TestWithParam<Tier> {};
@@ -143,24 +102,13 @@ INSTANTIATE_TEST_SUITE_P(AvailableTiers, SimdTierTest,
                          });
 
 TEST(ChooseTierTest, PicksBestWhenUnforced) {
-  EXPECT_EQ(ChooseTier(Tier::kAvx2, false, false, false), Tier::kAvx2);
-  EXPECT_EQ(ChooseTier(Tier::kSse2, false, false, false), Tier::kSse2);
-  EXPECT_EQ(ChooseTier(Tier::kSwar, false, false, false), Tier::kSwar);
+  EXPECT_EQ(ChooseTier(Tier::kAvx2, false), Tier::kAvx2);
+  EXPECT_EQ(ChooseTier(Tier::kScalar, false), Tier::kScalar);
 }
 
-TEST(ChooseTierTest, ForceWinsInPrecedenceOrder) {
-  EXPECT_EQ(ChooseTier(Tier::kAvx2, true, false, false), Tier::kScalar);
-  EXPECT_EQ(ChooseTier(Tier::kAvx2, false, true, false), Tier::kSwar);
-  EXPECT_EQ(ChooseTier(Tier::kAvx2, false, false, true), Tier::kSse2);
-  // scalar > swar > sse2 when several are set.
-  EXPECT_EQ(ChooseTier(Tier::kAvx2, true, true, true), Tier::kScalar);
-  EXPECT_EQ(ChooseTier(Tier::kAvx2, false, true, true), Tier::kSwar);
-}
-
-TEST(ChooseTierTest, ForcedTierClampsToBest) {
-  // Forcing SSE2 on a machine without it must not select unsupported
-  // instructions.
-  EXPECT_EQ(ChooseTier(Tier::kSwar, false, false, true), Tier::kSwar);
+TEST(ChooseTierTest, ForceScalarWins) {
+  EXPECT_EQ(ChooseTier(Tier::kAvx2, true), Tier::kScalar);
+  EXPECT_EQ(ChooseTier(Tier::kScalar, true), Tier::kScalar);
 }
 
 TEST(ScopedTierOverrideTest, SwapsOpsAndGaugeThenRestores) {
@@ -178,56 +126,56 @@ TEST(ScopedTierOverrideTest, SwapsOpsAndGaugeThenRestores) {
   EXPECT_EQ(&Ops(), &OpsForTier(before));
 }
 
-TEST(AvailableTiersTest, AlwaysIncludesPortableTiers) {
-  const std::vector<Tier> tiers = AvailableTiers();
-  ASSERT_GE(tiers.size(), 2u);
-  EXPECT_EQ(tiers[0], Tier::kScalar);
-  EXPECT_EQ(tiers[1], Tier::kSwar);
-  for (size_t i = 1; i < tiers.size(); ++i) {
-    EXPECT_LT(static_cast<int>(tiers[i - 1]), static_cast<int>(tiers[i]));
-  }
+// The gauge value is the enumerator, so pinning each runnable tier must
+// publish the documented number (0 scalar, 3 avx2) — a deleted or
+// reordered enumerator would renumber it.
+TEST(ScopedTierOverrideTest, PinnedAvx2PublishesGaugeThree) {
+  if (!CpuHasAvx2()) GTEST_SKIP() << "CPU lacks AVX2";
+  auto& gauge = MetricsRegistry::Global().GetGauge("wsd.scan.simd_tier");
+  const ScopedTierOverride pinned(Tier::kAvx2);
+  EXPECT_EQ(ActiveTier(), Tier::kAvx2);
+  EXPECT_EQ(gauge.value(), 3.0);
+  EXPECT_EQ(&Ops(), &OpsForTier(Tier::kAvx2));
 }
 
-TEST(BitPlaneTest, NextSetNextClearAnyInRange) {
+TEST(AvailableTiersTest, ScalarThenAvx2WhenSupported) {
+  const std::vector<Tier> want =
+      CpuHasAvx2() ? std::vector<Tier>{Tier::kScalar, Tier::kAvx2}
+                   : std::vector<Tier>{Tier::kScalar};
+  EXPECT_TRUE(AvailableTiers() == want)
+      << "got " << AvailableTiers().size() << " tiers";
+}
+
+// '(' is a phone-candidate start wherever it appears, so a plane built
+// over '(' marks in filler has exactly the marked bits set.
+TEST(BitPlaneTest, NextSetNextClear) {
+  std::string marked(150, 'a');
+  marked[0] = '(';
+  marked[63] = '(';
+  marked[64] = '(';
+  marked[149] = '(';
   BitPlane plane;
-  const std::string input(150, 'a');
-  std::string marked = input;
-  marked[0] = '<';
-  marked[63] = '<';
-  marked[64] = '<';
-  marked[149] = '<';
-  BitPlane lt, amp, gt, quote;
-  BuildHtmlPlanes(marked, &lt, &amp, &gt, &quote);
-  EXPECT_EQ(lt.NextSet(0), 0u);
-  EXPECT_EQ(lt.NextSet(1), 63u);
-  EXPECT_EQ(lt.NextSet(64), 64u);
-  EXPECT_EQ(lt.NextSet(65), 149u);
-  EXPECT_EQ(lt.NextSet(150), BitPlane::npos);
-  EXPECT_EQ(lt.NextSet(100000), BitPlane::npos);
-  EXPECT_EQ(lt.NextClear(0), 1u);
-  EXPECT_EQ(lt.NextClear(63), 65u);
-  EXPECT_EQ(lt.NextClear(149), 150u);
-  EXPECT_TRUE(lt.AnyInRange(0, 1));
-  EXPECT_FALSE(lt.AnyInRange(1, 63));
-  EXPECT_TRUE(lt.AnyInRange(1, 64));
-  EXPECT_TRUE(lt.AnyInRange(60, 150));
-  EXPECT_FALSE(lt.AnyInRange(65, 149));
-  EXPECT_FALSE(lt.AnyInRange(10, 10));
-  // Word-aligned range edges.
-  EXPECT_TRUE(lt.AnyInRange(64, 128));
-  EXPECT_FALSE(lt.AnyInRange(128, 149));
+  BuildPhoneCandidates(marked, &plane);
+  EXPECT_EQ(plane.NextSet(0), 0u);
+  EXPECT_EQ(plane.NextSet(1), 63u);
+  EXPECT_EQ(plane.NextSet(64), 64u);
+  EXPECT_EQ(plane.NextSet(65), 149u);
+  EXPECT_EQ(plane.NextSet(150), BitPlane::npos);
+  EXPECT_EQ(plane.NextSet(100000), BitPlane::npos);
+  EXPECT_EQ(plane.NextClear(0), 1u);
+  EXPECT_EQ(plane.NextClear(63), 65u);
+  EXPECT_EQ(plane.NextClear(149), 150u);
 }
 
 TEST(BitPlaneTest, ReusedPlaneShrinksWithoutStaleBits) {
-  BitPlane lt, amp, gt, quote;
-  BuildHtmlPlanes(std::string(200, '<'), &lt, &amp, &gt, &quote);
+  BitPlane plane;
+  BuildPhoneCandidates(std::string(200, '('), &plane);
   // Rebuilding over a shorter input must leave no bits visible past the
   // new size, even though capacity is retained.
-  BuildHtmlPlanes("abc<", &lt, &amp, &gt, &quote);
-  EXPECT_EQ(lt.size(), 4u);
-  EXPECT_EQ(lt.NextSet(0), 3u);
-  EXPECT_EQ(lt.NextSet(4), BitPlane::npos);
-  EXPECT_GT(lt.MemoryFootprint(), 0u);
+  BuildPhoneCandidates("abc(", &plane);
+  EXPECT_EQ(plane.size(), 4u);
+  EXPECT_EQ(plane.NextSet(0), 3u);
+  EXPECT_EQ(plane.NextSet(4), BitPlane::npos);
 }
 
 }  // namespace

@@ -59,7 +59,7 @@ int Main(int argc, char** argv) {
   }
 
   // Resolve SIMD dispatch before any request runs: the startup log then
-  // records the tier (and any WSD_FORCE_* override), and the
+  // records the tier (and any WSD_FORCE_SCALAR override), and the
   // wsd.scan.simd_tier gauge is set for /metrics from the first scrape.
   simd::ActiveTier();
 
