@@ -15,16 +15,6 @@
 //   wsd.scan.bench.kernel_speedup
 // so a committed BENCH_scan.json records the measured speedup.
 //
-// The SIMD dispatch ablation (BM_PhoneCandidates/<tier>, registered for
-// every tier the CPU supports) measures a byte-classification primitive
-// (BuildPhoneCandidates: the phone candidate-start plane) per dispatch
-// tier over the raw page bytes of the same corpus, plus the full page
-// scan per tier (BM_PageScanTier/<tier>). It publishes
-//   wsd.scan.bench.simd_<tier>_bytes_per_sec   (classification pass)
-//   wsd.scan.bench.simd_page_scan_<tier>_pages_per_sec
-//   wsd.scan.bench.simd_speedup   (avx2 / scalar, classification; only
-//                                  on CPUs with AVX2)
-//
 // The snapshot-load trio (BM_SnapshotDecodeV1 / BM_SnapshotParseV2 /
 // BM_SnapshotMmapLoad) compares the varint decoder against the aligned
 // parser and the zero-copy mmap load of the same scan result, publishing
@@ -48,7 +38,6 @@
 #include "html/text_extract.h"
 #include "store/snapshot.h"
 #include "util/metrics.h"
-#include "util/simd.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
 
@@ -234,87 +223,6 @@ void BM_PageScanLegacy(benchmark::State& state) {
 BENCHMARK(BM_PageScanLegacy);
 
 // ---------------------------------------------------------------------
-// SIMD dispatch ablation. The classification benchmark times a kernel
-// primitive itself — one pass classifying every byte of the corpus into
-// the phone candidate-start bit plane — pinned to one dispatch tier.
-// Both tiers produce bit-identical planes (simd_test) so bytes/sec is
-// directly comparable between them; the scalar tier is the naive
-// per-byte reference builder. The page-scan variant times the full
-// kernel (extract + match) per tier, which shows the Amdahl-limited
-// end-to-end effect of the same dispatch.
-
-void PhoneCandidates(benchmark::State& state, simd::Tier tier) {
-  const PageCorpus& corpus = PagesOf(Attribute::kPhone);
-  const simd::ScopedTierOverride pinned(tier);
-  simd::BitPlane candidates;
-  uint64_t bytes = 0;
-  const Timer timer;
-  for (auto _ : state) {
-    for (const Page& page : corpus.pages) {
-      simd::BuildPhoneCandidates(page.html, &candidates);
-      benchmark::DoNotOptimize(candidates.words());
-    }
-    benchmark::ClobberMemory();
-    bytes += corpus.bytes;
-  }
-  const double seconds = timer.ElapsedSeconds();
-  if (seconds > 0.0) {
-    MetricsRegistry::Global()
-        .GetGauge(std::string("wsd.scan.bench.simd_") +
-                  simd::TierName(tier) + "_bytes_per_sec")
-        .Set(static_cast<double>(bytes) / seconds);
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(bytes));
-  state.SetLabel(simd::TierName(tier));
-}
-
-void PageScanTier(benchmark::State& state, simd::Tier tier) {
-  const Attribute attr = Attribute::kPhone;
-  const PageCorpus& corpus = PagesOf(attr);
-  const EntityMatcher matcher(WebOf(attr).catalog(), attr);
-  const simd::ScopedTierOverride pinned(tier);
-  ScanScratch scratch;
-  uint64_t pages = 0;
-  uint64_t bytes = 0;
-  uint64_t hits = 0;
-  const Timer timer;
-  for (auto _ : state) {
-    for (const Page& page : corpus.pages) {
-      scratch.visible_text.clear();
-      html::ExtractVisibleTextInto(page.html, &scratch.visible_text);
-      hits +=
-          matcher.MatchPageInto(scratch.visible_text, &scratch.match).size();
-    }
-    pages += corpus.pages.size();
-    bytes += corpus.bytes;
-  }
-  benchmark::DoNotOptimize(hits);
-  const double seconds = timer.ElapsedSeconds();
-  if (seconds > 0.0) {
-    MetricsRegistry::Global()
-        .GetGauge(std::string("wsd.scan.bench.simd_page_scan_") +
-                  simd::TierName(tier) + "_pages_per_sec")
-        .Set(static_cast<double>(pages) / seconds);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(pages));
-  state.SetBytesProcessed(static_cast<int64_t>(bytes));
-  state.SetLabel(simd::TierName(tier));
-}
-
-// Registered at runtime (not BENCHMARK()) so only tiers this CPU
-// supports appear in the output.
-void RegisterSimdAblation() {
-  for (const simd::Tier tier : simd::AvailableTiers()) {
-    ::benchmark::RegisterBenchmark(
-        (std::string("BM_PhoneCandidates/") + simd::TierName(tier)).c_str(),
-        [tier](benchmark::State& state) { PhoneCandidates(state, tier); });
-    ::benchmark::RegisterBenchmark(
-        (std::string("BM_PageScanTier/") + simd::TierName(tier)).c_str(),
-        [tier](benchmark::State& state) { PageScanTier(state, tier); });
-  }
-}
-
-// ---------------------------------------------------------------------
 // Snapshot load ablation: v1 varint decode vs. v2 aligned parse vs. the
 // zero-copy mmap load, all over the same phone-scan result. items ==
 // snapshots; bytes == serialized size per iteration.
@@ -426,7 +334,6 @@ int main(int argc, char** argv) {
                                                  "bench_micro_scan");
   const wsd::FlagParser flags(argc, argv);
   g_smoke = flags.Has("smoke");
-  RegisterSimdAblation();
   ::benchmark::Initialize(&argc, argv);
   ::benchmark::RunSpecifiedBenchmarks();
   auto& registry = wsd::MetricsRegistry::Global();
@@ -438,19 +345,6 @@ int main(int argc, char** argv) {
     registry.GetGauge("wsd.scan.bench.kernel_speedup").Set(kernel / legacy);
     std::cout << "\nscan kernel ablation: " << kernel / legacy
               << "x pages/sec vs. legacy (phone corpus, 1 thread)\n";
-  }
-  if (wsd::simd::AvailableTiers().back() == wsd::simd::Tier::kAvx2) {
-    const double scalar_scan =
-        registry.GetGauge("wsd.scan.bench.simd_scalar_bytes_per_sec").value();
-    const double avx2_scan =
-        registry.GetGauge("wsd.scan.bench.simd_avx2_bytes_per_sec").value();
-    if (scalar_scan > 0.0 && avx2_scan > 0.0) {
-      registry.GetGauge("wsd.scan.bench.simd_speedup")
-          .Set(avx2_scan / scalar_scan);
-      std::cout << "simd classification ablation: "
-                << avx2_scan / scalar_scan
-                << "x bytes/sec avx2 vs. scalar (phone candidate plane)\n";
-    }
   }
   const double v1_decode =
       registry.GetGauge("wsd.store.bench.v1_decode_mb_per_sec").value();

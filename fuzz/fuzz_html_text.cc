@@ -9,7 +9,6 @@
 #include <string_view>
 
 #include "html/text_extract.h"
-#include "util/simd.h"
 
 #include "fuzz_driver.h"
 
@@ -18,17 +17,6 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
 
   std::string kernel_out;
   wsd::html::ExtractVisibleTextInto(page, &kernel_out);
-
-  // SIMD dispatch differential: the kernel must produce the same bytes
-  // at every dispatch tier this machine can run — forced-scalar through
-  // the best vector tier (kernel_out above ran at the ambient tier, so
-  // this covers scalar-vs-best in both directions).
-  for (const wsd::simd::Tier tier : wsd::simd::AvailableTiers()) {
-    const wsd::simd::ScopedTierOverride pinned(tier);
-    std::string tier_out;
-    wsd::html::ExtractVisibleTextInto(page, &tier_out);
-    WSD_FUZZ_ASSERT(tier_out == kernel_out);
-  }
 
   // The value-returning wrapper is a thin shim over the same kernel.
   std::string wrapper_out = wsd::html::ExtractVisibleText(page);

@@ -1,7 +1,6 @@
 #include "extract/isbn_extractor.h"
 
 #include "entity/isbn.h"
-#include "util/simd.h"
 #include "util/string_util.h"
 
 namespace wsd {
@@ -35,40 +34,6 @@ void ExtractIsbnsInto(std::string_view text,
                       FunctionRef<void(const IsbnMatch&)> sink) {
   IsbnMatch m;       // reused across matches
   std::string bare;  // reused candidate buffer
-
-  if (simd::ActiveTier() != simd::Tier::kScalar) {
-    // SIMD tier: a vectorized pass marks run starts (digit not preceded
-    // by a digit/'-'/'X'), identical to the scalar skip predicate below;
-    // the validator then hops between set bits. text[j] after a maximal
-    // run is a non-body char, so no bit is set there and NextSet(j)
-    // resumes exactly where the scalar loop would.
-    static thread_local simd::BitPlane plane;
-    simd::BuildIsbnCandidates(text, &plane);
-    size_t i = plane.NextSet(0);
-    while (i != simd::BitPlane::npos) {
-      size_t j = i;
-      while (j < text.size() && IsIsbnBodyChar(text[j])) ++j;
-      std::string_view run = text.substr(i, j - i);
-      while (!run.empty() && run.back() == '-') run.remove_suffix(1);
-
-      bare.clear();
-      StripIsbnSeparatorsInto(run, &bare);
-      bool valid = false;
-      if (bare.size() == 13 && IsValidIsbn13(bare)) {
-        m.isbn13 = bare;
-        valid = true;
-      } else if (bare.size() == 10 && IsValidIsbn10(bare)) {
-        m.isbn13 = *Isbn10To13(bare);
-        valid = true;
-      }
-      if (valid && HasIsbnContext(text, i, i + run.size())) {
-        m.offset = i;
-        sink(m);
-      }
-      i = plane.NextSet(j);
-    }
-    return;
-  }
 
   size_t i = 0;
   while (i < text.size()) {

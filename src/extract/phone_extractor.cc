@@ -3,7 +3,6 @@
 #include <array>
 
 #include "entity/phone.h"
-#include "util/simd.h"
 #include "util/string_util.h"
 
 namespace wsd {
@@ -100,43 +99,8 @@ constexpr std::array<bool, 256> kCandidateStart = [] {
   return table;
 }();
 
-namespace {
-
-// SIMD-tier variant: one vectorized pass marks candidate starts (the
-// same predicate as the scalar skip loop — digit/'('/'+' not preceded by
-// a digit), then the parser hops between set bits. Text is ~16% digits
-// on listing pages, so this replaces the dominant per-character skip
-// loop with ~one tzcnt per candidate. The plane is thread-local and
-// grows to a high-water mark, preserving steady-state zero allocation.
-void ExtractPhonesIndexed(std::string_view text,
-                          FunctionRef<void(const PhoneMatch&)> sink) {
-  static thread_local simd::BitPlane plane;
-  simd::BuildPhoneCandidates(text, &plane);
-  PhoneMatch m;
-  size_t i = plane.NextSet(0);
-  while (i != simd::BitPlane::npos) {
-    size_t end = 0;
-    if (ParsePhoneAt(text, i, &m.digits, &end)) {
-      m.offset = i;
-      sink(m);
-      // text[end] is a non-digit (DigitFollows rejected the parse
-      // otherwise), but may itself start a candidate ('(' or '+'), so
-      // resume at end inclusive — exactly where the scalar loop lands.
-      i = plane.NextSet(end);
-    } else {
-      i = plane.NextSet(i + 1);
-    }
-  }
-}
-
-}  // namespace
-
 void ExtractPhonesInto(std::string_view text,
                        FunctionRef<void(const PhoneMatch&)> sink) {
-  if (simd::ActiveTier() != simd::Tier::kScalar) {
-    ExtractPhonesIndexed(text, sink);
-    return;
-  }
   PhoneMatch m;  // reused; ParsePhoneAt clears digits each attempt
   size_t i = 0;
   while (i < text.size()) {

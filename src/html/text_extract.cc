@@ -127,10 +127,10 @@ std::string ExtractVisibleText(std::string_view page_html) {
 // the token-based implementation is enforced by the scan-kernel tests
 // (ExtractVisibleTextLegacy is the oracle).
 //
-// The same byte loop runs at every SIMD dispatch tier. On tag-dense
-// pages per-tag lexing and output, not byte classification, dominate:
-// walking precomputed '<'/'&'/'>'/quote bit planes measured no faster
-// end to end, even at AVX2.
+// It is a plain byte loop on purpose. On tag-dense pages per-tag lexing
+// and output, not byte classification, dominate: walking precomputed
+// '<'/'&'/'>'/quote bit planes measured no faster end to end, even at
+// AVX2 (docs/ARCHITECTURE.md, "Why the scan runs byte loops only").
 void ExtractVisibleTextInto(std::string_view page_html, std::string* out) {
   const std::string_view s = page_html;
   size_t pos = 0;

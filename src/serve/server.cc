@@ -23,6 +23,7 @@ struct ServerMetrics {
   Counter& connections;
   Counter& parse_errors;
   Counter& read_timeouts;
+  Counter& send_timeouts;
   Gauge& active_connections;
 
   static ServerMetrics& Get() {
@@ -32,6 +33,7 @@ struct ServerMetrics {
           reg.GetCounter("wsd.serve.connections"),
           reg.GetCounter("wsd.serve.parse_errors"),
           reg.GetCounter("wsd.serve.read_timeouts"),
+          reg.GetCounter("wsd.serve.send_timeouts"),
           reg.GetGauge("wsd.serve.active_connections"),
       };
     }();
@@ -40,12 +42,17 @@ struct ServerMetrics {
 };
 
 /// Writes all of `data`, retrying on partial sends. MSG_NOSIGNAL keeps a
-/// peer that closed early from killing the process with SIGPIPE.
+/// peer that closed early from killing the process with SIGPIPE. A send
+/// that blocks past SO_SNDTIMEO (a client that stopped reading) fails
+/// and is counted, so the caller closes the connection.
 bool SendAll(int fd, std::string_view data) {
   while (!data.empty()) {
     const ssize_t n = ::send(fd, data.data(), data.size(), MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
+      if (errno == EAGAIN || errno == EWOULDBLOCK) {
+        ServerMetrics::Get().send_timeouts.Increment();
+      }
       return false;
     }
     data.remove_prefix(static_cast<size_t>(n));
@@ -133,6 +140,7 @@ void HttpServer::AcceptLoop() {
     tv.tv_usec = static_cast<suseconds_t>(options_.read_timeout_ms % 1000) *
                  1000;
     ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+    ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     {
@@ -223,7 +231,8 @@ void HttpServer::Shutdown() {
   listen_fd_ = -1;
   // Half-close every active connection: a worker blocked in recv() sees
   // EOF and finishes, while responses already being written (the write
-  // side stays open) still reach the client.
+  // side stays open) still reach the client. SHUT_RD does not wake a
+  // worker blocked in send(); SO_SNDTIMEO bounds that wait instead.
   {
     MutexLock lock(active_mu_);
     for (int fd : active_fds_) ::shutdown(fd, SHUT_RD);

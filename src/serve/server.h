@@ -4,8 +4,8 @@
 /// repo is dependency-free, and the serving surface (six GET endpoints,
 /// small responses, keep-alive + pipelining) does not need an event
 /// loop. Robustness comes from the fail-closed parser (http.h) plus
-/// per-socket read timeouts; graceful shutdown half-closes every active
-/// connection so drained workers exit without abandoning in-flight
+/// per-socket read and send timeouts; graceful shutdown half-closes every
+/// active connection so drained workers exit without abandoning in-flight
 /// responses.
 
 #ifndef WSD_SERVE_SERVER_H_
@@ -33,8 +33,10 @@ struct ServerOptions {
   /// Size of the connection-handling pool. Each keep-alive connection
   /// occupies one worker while open, so this bounds concurrent clients.
   uint32_t connection_threads = 16;
-  /// Per-socket receive timeout; an idle keep-alive connection is closed
-  /// after this long with no bytes.
+  /// Per-socket receive and send timeout. An idle keep-alive connection
+  /// is closed after this long with no bytes, and so is a connection
+  /// whose send blocks this long because the client stopped reading
+  /// (counted in `wsd.serve.send_timeouts`).
   uint32_t read_timeout_ms = 5000;
   /// Requests served on one connection before it is closed (bounds how
   /// long a client can pin a worker).
@@ -64,7 +66,8 @@ class HttpServer {
 
   /// Graceful shutdown: stops the accept loop, shuts down the read side
   /// of every active connection (in-flight responses still complete),
-  /// and blocks until all workers drain.
+  /// and blocks until all workers drain. A worker blocked sending to a
+  /// client that does not read gives up after `read_timeout_ms`.
   void Shutdown();
 
  private:

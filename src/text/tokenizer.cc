@@ -2,7 +2,6 @@
 
 #include <array>
 
-#include "util/simd.h"
 #include "util/string_util.h"
 
 namespace wsd {
@@ -62,50 +61,8 @@ std::vector<std::string> TokenizeForClassification(std::string_view text) {
   return out;
 }
 
-namespace {
-
-// SIMD-tier variant: a vectorized pass marks word chars (alnum or '),
-// then run boundaries come from NextSet/NextClear hops instead of the
-// per-character test. Lower-casing and has_alpha stay scalar inside each
-// run — runs are short, and the boundary search is what the profile
-// charges. The plane is thread-local with high-water-mark growth, so the
-// classification path stays allocation-free at steady state.
-void TokenizeForClassificationIndexed(std::string* text,
-                                      std::vector<std::string_view>* out) {
-  std::string& s = *text;
-  static thread_local simd::BitPlane plane;
-  simd::BuildWordChars(s, &plane);
-  size_t i = plane.NextSet(0);
-  while (i != simd::BitPlane::npos) {
-    const size_t start = i;
-    const size_t run_end = plane.NextClear(i);  // clamped to s.size()
-    bool has_alpha = false;
-    for (; i < run_end; ++i) {
-      if (IsAlpha(s[i])) has_alpha = true;
-      s[i] = ToLowerChar(s[i]);
-    }
-    i = plane.NextSet(run_end + 1);  // s[run_end] is a non-word char
-    if (has_alpha) {  // drop pure-digit runs
-      // Strip leading/trailing apostrophes ('tis, dogs').
-      size_t b = start, e = run_end;
-      while (b < e && s[b] == '\'') ++b;
-      while (e > b && s[e - 1] == '\'') --e;
-      if (e > b) {
-        const std::string_view tok(s.data() + b, e - b);
-        if (!IsStopword(tok)) out->push_back(tok);
-      }
-    }
-  }
-}
-
-}  // namespace
-
 void TokenizeForClassificationInPlace(std::string* text,
                                       std::vector<std::string_view>* out) {
-  if (simd::ActiveTier() != simd::Tier::kScalar) {
-    TokenizeForClassificationIndexed(text, out);
-    return;
-  }
   std::string& s = *text;
   size_t i = 0;
   while (i < s.size()) {

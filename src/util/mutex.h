@@ -1,8 +1,8 @@
 /// \file mutex.h
 /// The repo's one concurrency-primitive surface: annotated `Mutex`,
-/// `MutexLock`, `CondVar` and `OnceFlag` wrappers over the std
-/// primitives, plus the Clang Thread Safety Analysis macro set
-/// (`GUARDED_BY`, `REQUIRES`, `ACQUIRE`, ...). Under clang with
+/// `MutexLock` and `CondVar` wrappers over the std primitives, plus the
+/// Clang Thread Safety Analysis macro set (`GUARDED_BY`, `REQUIRES`,
+/// `ACQUIRE`, ...). Under clang with
 /// `-Wthread-safety` (the `-DWSD_THREAD_SAFETY=ON` build, see
 /// docs/STATIC_ANALYSIS.md#lock-discipline) every lock-discipline
 /// violation — an unguarded field access, a missing `REQUIRES`, a
@@ -21,7 +21,6 @@
 
 #include <condition_variable>
 #include <mutex>
-#include <utility>
 
 // ---------------------------------------------------------------------
 // Thread safety annotation macros. Active only where the attributes are
@@ -167,29 +166,6 @@ class CondVar {
  private:
   std::condition_variable cv_;
 };
-
-/// One-time initialization flag for `CallOnce`; the annotated stand-in
-/// for `std::once_flag` (simd dispatch init is the repo's one user).
-class OnceFlag {
- public:
-  OnceFlag() = default;
-
-  OnceFlag(const OnceFlag&) = delete;
-  OnceFlag& operator=(const OnceFlag&) = delete;
-
- private:
-  template <typename Fn, typename... Args>
-  friend void CallOnce(OnceFlag& flag, Fn&& fn, Args&&... args);
-  std::once_flag flag_;
-};
-
-/// Runs `fn(args...)` exactly once per flag, racing callers blocking
-/// until the winner finishes (std::call_once semantics).
-template <typename Fn, typename... Args>
-void CallOnce(OnceFlag& flag, Fn&& fn, Args&&... args) {
-  std::call_once(flag.flag_, std::forward<Fn>(fn),
-                 std::forward<Args>(args)...);
-}
 
 }  // namespace wsd
 

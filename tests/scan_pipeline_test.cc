@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include "util/metrics.h"
-#include "util/simd.h"
 
 #include <atomic>
 #include <cstdio>
@@ -344,26 +343,20 @@ TEST_P(KernelEquivalenceTest, KernelMatchesLegacyAtEveryThreadCount) {
     detector.emplace(std::move(built).value());
   }
   const ReviewDetector* det = detector ? &*detector : nullptr;
-  // The frozen legacy path is tier-independent: run it once as the
-  // oracle, then prove the kernel bit-identical at every dispatch tier
-  // and thread count. The override is installed before the pool spawns
-  // workers and removed after they join.
+  // Run the frozen legacy path once as the oracle, then prove the kernel
+  // bit-identical at every thread count.
   const auto legacy = [&] {
     ThreadPool pool(1);
     return ScanPipeline(web, pool, det).RunLegacy();
   }();
   ASSERT_TRUE(legacy.ok());
-  for (const simd::Tier tier : simd::AvailableTiers()) {
-    const simd::ScopedTierOverride pinned(tier);
-    for (int threads : {1, 2, 8}) {
-      ThreadPool pool(threads);
-      const ScanPipeline pipeline(web, pool, det);
-      auto kernel = pipeline.Run();
-      ASSERT_TRUE(kernel.ok());
-      SCOPED_TRACE(::testing::Message() << "tier=" << simd::TierName(tier)
-                                        << " threads=" << threads);
-      ExpectIdenticalResults(*kernel, *legacy);
-    }
+  for (int threads : {1, 2, 8}) {
+    ThreadPool pool(threads);
+    const ScanPipeline pipeline(web, pool, det);
+    auto kernel = pipeline.Run();
+    ASSERT_TRUE(kernel.ok());
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    ExpectIdenticalResults(*kernel, *legacy);
   }
 }
 
@@ -383,32 +376,25 @@ TEST_P(SteadyStateAllocationTest, RescanAllocatesNothing) {
   // maximum), then rescan with the allocation counter armed.
   const SyntheticWeb web = MakeWeb(GetParam(), 200, 100);
   const EntityMatcher matcher(web.catalog(), GetParam());
-  // The contract holds at every dispatch tier: the SIMD tiers add
-  // bit-plane scratch, but planes also reach their watermark during
-  // warmup and allocate nothing on rescan.
-  for (const simd::Tier tier : simd::AvailableTiers()) {
-    SCOPED_TRACE(::testing::Message() << "tier=" << simd::TierName(tier));
-    const simd::ScopedTierOverride pinned(tier);
-    ScanScratch scratch;
-    HostRecord rec;
-    uint64_t mentions = 0, reviews = 0;
+  ScanScratch scratch;
+  HostRecord rec;
+  uint64_t mentions = 0, reviews = 0;
+  for (SiteId s = 0; s < web.num_hosts(); ++s) {
+    ScanHostPages(web, s, matcher, nullptr, &scratch, &rec, &mentions,
+                  &reviews);
+  }
+  ASSERT_GT(mentions, 0u);
+
+  uint64_t allocs = 0;
+  {
+    const AllocCountGuard guard;
     for (SiteId s = 0; s < web.num_hosts(); ++s) {
       ScanHostPages(web, s, matcher, nullptr, &scratch, &rec, &mentions,
                     &reviews);
     }
-    ASSERT_GT(mentions, 0u);
-
-    uint64_t allocs = 0;
-    {
-      const AllocCountGuard guard;
-      for (SiteId s = 0; s < web.num_hosts(); ++s) {
-        ScanHostPages(web, s, matcher, nullptr, &scratch, &rec, &mentions,
-                      &reviews);
-      }
-      allocs = g_alloc_count;
-    }
-    EXPECT_EQ(allocs, 0u);
+    allocs = g_alloc_count;
   }
+  EXPECT_EQ(allocs, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(IdentifierAttributes, SteadyStateAllocationTest,
@@ -418,28 +404,22 @@ INSTANTIATE_TEST_SUITE_P(IdentifierAttributes, SteadyStateAllocationTest,
                                            Attribute::kMicrodata));
 
 // The frozen legacy oracle predates the microdata channel and refuses
-// it, so cross-tier equivalence for microdata uses the scalar kernel as
-// the oracle instead: every SIMD tier and thread count must reproduce
-// the scalar result bit for bit.
-TEST(MicrodataScanTest, CrossTierEquivalenceAgainstScalar) {
+// it, so thread-count equivalence for microdata uses the 1-thread scan
+// as the oracle instead: 2 and 8 threads must reproduce it bit for bit.
+TEST(MicrodataScanTest, ThreadCountEquivalenceAgainstOneThread) {
   const SyntheticWeb web = MakeWeb(Attribute::kMicrodata, 300, 200);
-  const auto scalar = [&] {
-    const simd::ScopedTierOverride pinned(simd::Tier::kScalar);
+  const auto single = [&] {
     ThreadPool pool(1);
     return ScanPipeline(web, pool).Run();
   }();
-  ASSERT_TRUE(scalar.ok()) << scalar.status();
-  ASSERT_GT(scalar->stats.entity_mentions, 0u);
-  for (const simd::Tier tier : simd::AvailableTiers()) {
-    const simd::ScopedTierOverride pinned(tier);
-    for (int threads : {1, 2, 8}) {
-      ThreadPool pool(threads);
-      auto result = ScanPipeline(web, pool).Run();
-      ASSERT_TRUE(result.ok());
-      SCOPED_TRACE(::testing::Message() << "tier=" << simd::TierName(tier)
-                                        << " threads=" << threads);
-      ExpectIdenticalResults(*result, *scalar);
-    }
+  ASSERT_TRUE(single.ok()) << single.status();
+  ASSERT_GT(single->stats.entity_mentions, 0u);
+  for (int threads : {2, 8}) {
+    ThreadPool pool(threads);
+    auto result = ScanPipeline(web, pool).Run();
+    ASSERT_TRUE(result.ok());
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    ExpectIdenticalResults(*result, *single);
   }
 }
 

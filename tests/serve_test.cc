@@ -3,7 +3,14 @@
 // test proving served responses are byte-identical to direct Study
 // calls.
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <atomic>
+#include <cerrno>
+#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
@@ -675,6 +682,85 @@ TEST(ServerLoopback, GracefulShutdownIsIdempotent) {
   EXPECT_EQ(health->status, 200);
   server.Shutdown();
   server.Shutdown();  // second call is a no-op (destructor calls it too)
+}
+
+// A client that pipelines requests and never reads fills its receive
+// window, so the worker's send() blocks. The send timeout must free the
+// worker and drop the connection, and drain must then not wait on it.
+TEST(ServerLoopback, NonReadingClientIsDisconnected) {
+  StudyOptions options = SmallOptions();
+  ScanHandleCache cache(options, 1 << 20);
+  ServeContext ctx;
+  ctx.base = options;
+  ctx.cache = &cache;
+  ServerOptions server_options;
+  server_options.port = 0;
+  server_options.read_timeout_ms = 200;
+  // So high that the keep-alive cap cannot be what frees the worker.
+  server_options.max_keepalive_requests = 1u << 30;
+  HttpServer server(&ctx, server_options);
+  ASSERT_TRUE(server.Start().ok());
+
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  const Counter& send_timeouts =
+      registry.GetCounter("wsd.serve.send_timeouts");
+  const Gauge& active = registry.GetGauge("wsd.serve.active_connections");
+  const uint64_t timeouts_before = send_timeouts.value();
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  // Small buffers, set before connect so the window stays small.
+  const int buffer_bytes = 4096;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &buffer_bytes, sizeof(int));
+  ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &buffer_bytes, sizeof(int));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server.port());
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof(addr)),
+            0);
+
+  // Pipeline without ever reading. Partial sends resume mid-request so
+  // the stream stays well-formed. A full send buffer (EAGAIN) means the
+  // server stopped reading; an error means it closed the connection.
+  const std::string request = "GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n";
+  size_t offset = 0;
+  bool server_closed = false;
+  bool disconnected = false;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (std::chrono::steady_clock::now() < deadline) {
+    if (send_timeouts.value() > timeouts_before && active.value() == 0) {
+      disconnected = true;
+      break;
+    }
+    if (!server_closed) {
+      const ssize_t n =
+          ::send(fd, request.data() + offset, request.size() - offset,
+                 MSG_DONTWAIT | MSG_NOSIGNAL);
+      if (n >= 0) {
+        offset = (offset + static_cast<size_t>(n)) % request.size();
+        continue;
+      }
+      if (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) {
+        server_closed = true;
+      }
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  const uint64_t timed_out = send_timeouts.value() - timeouts_before;
+  const double still_active = active.value();
+  // Closing the client is what frees a worker stuck in send() when the
+  // server sets no send timeout, so a failure here cannot hang drain.
+  ::close(fd);
+  EXPECT_TRUE(disconnected) << "send_timeouts +" << timed_out
+                            << ", active_connections " << still_active;
+
+  const auto drain_start = std::chrono::steady_clock::now();
+  server.Shutdown();
+  EXPECT_LT(std::chrono::steady_clock::now() - drain_start,
+            std::chrono::seconds(1));
 }
 
 }  // namespace

@@ -70,15 +70,6 @@ class Slot {
   int* value_ PT_GUARDED_BY(mu_) = &storage_;
 };
 
-// CallOnce wrapper.
-wsd::OnceFlag g_once;
-int g_inited = 0;
-
-int Init() {
-  wsd::CallOnce(g_once, [] { g_inited = 1; });
-  return g_inited;
-}
-
 }  // namespace
 
 int main() {
@@ -93,5 +84,5 @@ int main() {
   account.WaitForFunds(0);
   Slot slot;
   slot.Set(3);
-  return Init() - 1;
+  return 0;
 }

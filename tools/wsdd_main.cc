@@ -15,7 +15,8 @@
 //   --response-cache-bytes=N
 //                        rendered-response memo budget (default 64 MiB)
 //   --conn-threads=N     concurrent connections served (default 16)
-//   --read-timeout-ms=N  idle/read socket timeout (default 5000)
+//   --read-timeout-ms=N  idle/read socket timeout, also the bound on each
+//                        blocked send (default 5000)
 //
 // Shutdown: SIGINT or SIGTERM drains in-flight requests and exits 0.
 
@@ -28,7 +29,6 @@
 #include "serve/server.h"
 #include "util/flags.h"
 #include "util/logging.h"
-#include "util/simd.h"
 
 namespace wsd {
 namespace {
@@ -53,15 +53,11 @@ int Main(int argc, char** argv) {
         "flags: --port=N --address=A --artifacts=DIR --entities=N\n"
         "       --seed=N --scale=F --threads=N --cache-bytes=N\n"
         "       --response-cache-bytes=N --conn-threads=N\n"
-        "       --read-timeout-ms=N\n",
+        "       --read-timeout-ms=N (bounds each idle read and each\n"
+        "       blocked send)\n",
         stdout);
     return 0;
   }
-
-  // Resolve SIMD dispatch before any request runs: the startup log then
-  // records the tier (and any WSD_FORCE_SCALAR override), and the
-  // wsd.scan.simd_tier gauge is set for /metrics from the first scrape.
-  simd::ActiveTier();
 
   StudyOptions base = StudyOptions::FromEnv();
   if (auto v = args.GetUint("entities")) {
