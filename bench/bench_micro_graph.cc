@@ -1,6 +1,6 @@
 // Ablation bench: exact diameter via iFUB vs. the all-pairs BFS
-// reference (serial and batch-parallel at growing thread counts),
-// union-find component analysis throughput, and the incremental
+// reference, union-find component analysis throughput (serial and
+// sharded at growing thread counts), and the incremental
 // reverse-deletion robustness sweep vs. the per-k rebuild reference, on
 // entity-site graphs of growing size.
 
@@ -43,9 +43,9 @@ const BipartiteGraph& GraphOfSize(int64_t entities) {
 
 // Sparse low-degree bipartite graph (every entity on exactly two random
 // sites). Expander-like: eccentricities are nearly uniform, so iFUB has
-// to sweep wide fringe levels with many BFS runs — the workload the
-// batch-parallel eccentricity loop targets. Hub-dominated graphs (above)
-// converge in a handful of runs and leave little to parallelize.
+// to sweep wide fringe levels with many eccentricities — the workload the
+// 64-source fringe traversal targets. Hub-dominated graphs (above)
+// converge in a handful of runs.
 const BipartiteGraph& SparseGraphOfSize(int64_t entities) {
   static std::map<int64_t, std::unique_ptr<BipartiteGraph>>* cache =
       new std::map<int64_t, std::unique_ptr<BipartiteGraph>>;
@@ -106,39 +106,19 @@ void BM_DiameterIFUB(benchmark::State& state) {
 }
 BENCHMARK(BM_DiameterIFUB)->Arg(1000)->Arg(4000)->Arg(16000);
 
-// Batch-parallel iFUB: range(0) = entities, range(1) = threads.
-void BM_DiameterIFUBParallel(benchmark::State& state) {
-  const BipartiteGraph& graph = GraphOfSize(state.range(0));
-  ThreadPool& pool = PoolOf(state.range(1));
-  uint32_t bfs_runs = 0;
-  for (auto _ : state) {
-    const DiameterResult r = ExactDiameter(graph, 20000, &pool);
-    bfs_runs = r.bfs_runs;
-    benchmark::DoNotOptimize(r.diameter);
-  }
-  state.counters["bfs_runs"] = bfs_runs;
-  state.counters["threads"] = static_cast<double>(state.range(1));
-}
-BENCHMARK(BM_DiameterIFUBParallel)
-    ->ArgsProduct({{16000}, {1, 2, 4, 8}});
-
 // Same, on the sparse expander-like graph where the eccentricity loop
 // dominates.
-void BM_DiameterIFUBParallelSparse(benchmark::State& state) {
+void BM_DiameterIFUBSparse(benchmark::State& state) {
   const BipartiteGraph& graph = SparseGraphOfSize(state.range(0));
-  ThreadPool& pool = PoolOf(state.range(1));
   uint32_t bfs_runs = 0;
   for (auto _ : state) {
-    const DiameterResult r = ExactDiameter(graph, 20000, &pool);
+    const DiameterResult r = ExactDiameter(graph);
     bfs_runs = r.bfs_runs;
     benchmark::DoNotOptimize(r.diameter);
   }
   state.counters["bfs_runs"] = bfs_runs;
-  state.counters["threads"] = static_cast<double>(state.range(1));
 }
-BENCHMARK(BM_DiameterIFUBParallelSparse)
-    ->ArgsProduct({{16000}, {1, 2, 4, 8}})
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_DiameterIFUBSparse)->Arg(16000)->Unit(benchmark::kMillisecond);
 
 void BM_DiameterAllPairs(benchmark::State& state) {
   const BipartiteGraph& graph = GraphOfSize(state.range(0));

@@ -60,8 +60,8 @@ int main(int argc, char** argv) {
   bench::PrintAnchor("largest component, worst graph", ">= 97.87%",
                     FormatF(min_largest_pct, 2) + "%");
   std::cout << "\n(iFUB diameter used " << total_bfs
-            << " BFS runs total; all-pairs would need one per node — see "
-               "bench_micro_graph)\n"
+            << " eccentricities total; all-pairs would need one per node — "
+               "see bench_micro_graph)\n"
             << "(component counts scale with catalog size; the paper's "
                "absolute counts were\nover millions of entities — the "
                "cross-domain ordering is the reproduced shape)\n";

@@ -1,6 +1,7 @@
 #include "graph/diameter.h"
 
 #include <algorithm>
+#include <bit>
 #include <vector>
 
 #include "util/logging.h"
@@ -71,22 +72,70 @@ uint32_t PickStart(const BipartiteGraph& g, const ComponentLabels& labels) {
   return best;
 }
 
-// Eccentricities of a whole fringe batch, one BFS per pool task with a
-// per-slot scratch (each slot is owned by exactly one task per batch, so
-// workers reuse warm buffers without sharing them).
-void BatchEccentricities(const BipartiteGraph& graph, ThreadPool& pool,
-                         const uint32_t* nodes, size_t width,
-                         std::vector<BfsScratch>& scratch,
-                         std::vector<uint32_t>& ecc_out) {
-  static Counter& batches =
-      MetricsRegistry::Global().GetCounter("wsd.graph.bfs_batches");
-  for (size_t t = 0; t < width; ++t) {
-    pool.Submit([&graph, &scratch, &ecc_out, nodes, t] {
-      ecc_out[t] = Bfs(graph, nodes[t], scratch[t]).first;
-    });
+// Sources one multi-source traversal carries: one bit of a word each.
+constexpr size_t kSourcesPerTraversal = 64;
+
+// Workspace of the multi-source traversal (Then et al., "The More the
+// Merrier: Efficient Multi-Source Graph Traversal", PVLDB 8(4), 2014).
+// Bit i of each word stands for source i. `seen` is reset per call and
+// `next` is all zero between levels; `frontier` is only read for active
+// nodes, which write it first.
+struct MultiBfsScratch {
+  explicit MultiBfsScratch(uint32_t num_nodes)
+      : seen(num_nodes), frontier(num_nodes), next(num_nodes) {}
+
+  std::vector<uint64_t> seen;      // sources that have reached the node
+  std::vector<uint64_t> frontier;  // sources that reached it last level
+  std::vector<uint64_t> next;      // sources that reach it this level
+  std::vector<uint32_t> active;    // nodes reached last level
+  std::vector<uint32_t> next_active;
+};
+
+// Eccentricities of `count` (at most 64) distinct sources in one walk of
+// the graph. Source i's eccentricity is the last level at which its bit
+// reached a new node, which is what a per-source BFS would return.
+void MultiSourceEccentricities(const BipartiteGraph& g,
+                               const uint32_t* sources, size_t count,
+                               MultiBfsScratch& s, uint32_t* ecc_out) {
+  WSD_CHECK(count >= 1 && count <= kSourcesPerTraversal);
+  std::fill(s.seen.begin(), s.seen.end(), 0);
+  uint64_t* const seen = s.seen.data();
+  uint64_t* const frontier = s.frontier.data();
+  uint64_t* const next = s.next.data();
+  s.active.clear();
+  for (size_t i = 0; i < count; ++i) {
+    const uint64_t bit = uint64_t{1} << i;
+    seen[sources[i]] = bit;
+    frontier[sources[i]] = bit;
+    s.active.push_back(sources[i]);
+    ecc_out[i] = 0;
   }
-  pool.Wait();
-  batches.Increment();
+  for (uint32_t level = 1; !s.active.empty(); ++level) {
+    // Every active node offers its frontier bits to its neighbors;
+    // `next` collects the sources that reach a node for the first time
+    // at this level.
+    s.next_active.clear();
+    for (uint32_t u : s.active) {
+      const uint64_t bits = frontier[u];
+      ForEachNeighbor(g, u, [&](uint32_t v) {
+        const uint64_t fresh = bits & ~seen[v];
+        if (fresh == 0) return;
+        if (next[v] == 0) s.next_active.push_back(v);
+        next[v] |= fresh;
+      });
+    }
+    uint64_t reached = 0;
+    for (uint32_t v : s.next_active) {
+      seen[v] |= next[v];
+      frontier[v] = next[v];
+      reached |= next[v];
+      next[v] = 0;
+    }
+    for (; reached != 0; reached &= reached - 1) {
+      ecc_out[std::countr_zero(reached)] = level;
+    }
+    std::swap(s.active, s.next_active);
+  }
 }
 
 }  // namespace
@@ -170,22 +219,15 @@ DiameterResult ExactDiameterImpl(const BipartiteGraph& graph,
     });
   }
 
-  // Eccentricity loop: with a pool, each fringe level is dispatched in
-  // batches of one BFS per worker. Batches walk the level in the same
-  // order as the serial loop and `lower` is folded as a max, so the
-  // returned diameter is identical at any thread count (eccentricities
-  // never exceed `upper`, hence a full batch can only reach the same
-  // lower == upper fixpoint the serial early exit does). Only bfs_runs
-  // may differ: a batch is not cut short mid-way.
-  const size_t batch_width =
-      pool != nullptr && pool->num_threads() > 1 ? pool->num_threads() : 1;
-  std::vector<BfsScratch> batch_scratch(batch_width);
-  std::vector<uint32_t> batch_ecc(batch_width);
-  if (batch_width > 1) {
-    MetricsRegistry::Global()
-        .GetGauge("wsd.graph.threads")
-        .Set(static_cast<double>(batch_width));
-  }
+  // Eccentricity loop: each fringe level is evaluated in chunks of up to
+  // 64 sources, one multi-source traversal per chunk, in the same order
+  // as a per-source loop. `lower` is folded as a max, so the diameter is
+  // the per-source loop's: eccentricities never exceed `upper`, hence a
+  // whole chunk can only reach the same lower == upper fixpoint that a
+  // per-source early exit does. Only bfs_runs may be higher: a chunk is
+  // not cut short mid-way.
+  MultiBfsScratch fringe(graph.num_nodes());
+  uint32_t chunk_ecc[kSourcesPerTraversal];
   for (uint32_t i = depth; i >= 1 && lower < upper; --i) {
     // Process all of level i; only lower == upper is a safe early exit
     // inside the level (other level-i nodes may reach ecc up to 2*i).
@@ -197,18 +239,12 @@ DiameterResult ExactDiameterImpl(const BipartiteGraph& graph,
         return result;
       }
       const size_t width =
-          std::min({batch_width, level.size() - pos,
+          std::min({kSourcesPerTraversal, level.size() - pos,
                     static_cast<size_t>(max_bfs - result.bfs_runs)});
-      if (width == 1) {
-        batch_ecc[0] = Bfs(graph, level[pos], batch_scratch[0]).first;
-      } else {
-        BatchEccentricities(graph, *pool, level.data() + pos, width,
-                            batch_scratch, batch_ecc);
-      }
+      MultiSourceEccentricities(graph, level.data() + pos, width, fringe,
+                                chunk_ecc);
       result.bfs_runs += static_cast<uint32_t>(width);
-      for (size_t t = 0; t < width; ++t) {
-        lower = std::max(lower, batch_ecc[t]);
-      }
+      lower = std::max(lower, *std::max_element(chunk_ecc, chunk_ecc + width));
       pos += width;
     }
     // iFUB invariant: every node at level < i has eccentricity

@@ -296,8 +296,8 @@ TEST(ComponentsTest, ParallelMatchesSerial) {
   }
 }
 
-// Batch-parallel iFUB must report the same diameter, exactness and
-// component size as the serial path at every thread count.
+// iFUB must report the same diameter, exactness, component size and
+// eccentricity count with any pool: the pool only labels components.
 TEST(DiameterTest, ParallelMatchesSerial) {
   for (uint64_t seed = 1; seed <= 10; ++seed) {
     const auto graph = RandomGraph(seed);
@@ -309,6 +309,54 @@ TEST(DiameterTest, ParallelMatchesSerial) {
           << "seed " << seed << " threads " << threads;
       EXPECT_EQ(parallel.exact, serial.exact);
       EXPECT_EQ(parallel.component_nodes, serial.component_nodes);
+      EXPECT_EQ(parallel.bfs_runs, serial.bfs_runs);
+    }
+  }
+}
+
+// Random bipartite graph of 1,000-3,000 nodes, a configuration model:
+// three stubs per site are shuffled and paired up, one entity per pair,
+// so sites have degree 3 and entities degree 2 (a pair landing on one
+// site gives one edge). Nearly uniform eccentricities make iFUB walk
+// fringe levels far wider than one 64-source chunk.
+BipartiteGraph WideFringeGraph(uint64_t seed) {
+  Rng rng(seed);
+  const uint32_t sites = 400 + static_cast<uint32_t>(rng.Index(800));
+  std::vector<uint32_t> stubs;
+  for (uint32_t s = 0; s < sites; ++s) stubs.insert(stubs.end(), 3, s);
+  for (size_t i = stubs.size(); i > 1; --i) {
+    std::swap(stubs[i - 1], stubs[rng.Index(i)]);
+  }
+  const uint32_t entities = static_cast<uint32_t>(stubs.size() / 2);
+  std::vector<std::vector<EntityId>> table(sites);
+  for (uint32_t e = 0; e < entities; ++e) {
+    table[stubs[2 * e]].push_back(e);
+    if (stubs[2 * e + 1] != stubs[2 * e]) table[stubs[2 * e + 1]].push_back(e);
+  }
+  return BipartiteGraph::FromHostTable(MakeTable(table), entities);
+}
+
+// Chunks cross fringe levels and level boundaries: the diameter must
+// still match all-pairs BFS, and no pool may change the count.
+TEST(DiameterTest, WideFringeMatchesAllPairs) {
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    const auto graph = WideFringeGraph(seed);
+    const auto slow = AllPairsDiameter(graph);
+    const auto serial = ExactDiameter(graph);
+    EXPECT_EQ(serial.diameter, slow.diameter) << "seed " << seed;
+    EXPECT_TRUE(serial.exact);
+    EXPECT_EQ(serial.component_nodes, slow.component_nodes);
+    // The double sweep, the midpoint and the root take four; at least
+    // three chunks follow.
+    EXPECT_GT(serial.bfs_runs, 4u + 128u) << "seed " << seed;
+    for (size_t threads : {1, 2, 8}) {
+      ThreadPool pool(threads);
+      const auto parallel = ExactDiameter(graph, 20000, &pool);
+      EXPECT_EQ(parallel.diameter, slow.diameter)
+          << "seed " << seed << " threads " << threads;
+      EXPECT_TRUE(parallel.exact);
+      EXPECT_EQ(parallel.component_nodes, slow.component_nodes);
+      EXPECT_EQ(parallel.bfs_runs, serial.bfs_runs);
     }
   }
 }

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <set>
 
@@ -14,6 +15,7 @@
 #include "traffic/traffic_log.h"
 #include "util/logging.h"
 #include "util/string_util.h"
+#include "util/thread_pool.h"
 
 namespace wsd {
 namespace {
@@ -130,8 +132,8 @@ TEST(StudyOptionsEnvTest, ReadsAndValidatesEnvironment) {
 // ---------- diameter budget ----------
 
 TEST(DiameterBudgetTest, ExhaustionReturnsLowerBoundInexact) {
-  // A long chain needs several eccentricity BFS runs; max_bfs=4 only
-  // allows the two sweeps + root, so it must report inexact.
+  // A long chain: the double sweep certifies its diameter, so even
+  // max_bfs=4 (two sweeps, the midpoint BFS and the root) stays exact.
   std::vector<HostRecord> hosts;
   for (int s = 0; s < 30; ++s) {
     HostRecord rec;
@@ -150,6 +152,36 @@ TEST(DiameterBudgetTest, ExhaustionReturnsLowerBoundInexact) {
   // Double sweep already finds the true diameter on a path; the point is
   // the budget path must not crash and the bound must be <= the truth.
   EXPECT_LE(budgeted.diameter, full.diameter);
+
+  // An even cycle, which the double sweep cannot certify: site s holds
+  // entities s and s+1 (mod 30), 60 nodes, diameter 30. Its fringe needs
+  // 29 eccentricities after the four sweeps, so a budget of 5 or 6 runs
+  // out inside the fringe loop.
+  std::vector<HostRecord> ring;
+  for (int s = 0; s < 30; ++s) {
+    const auto [lo, hi] = std::minmax({s, (s + 1) % 30});
+    HostRecord rec;
+    rec.host = "r" + std::to_string(s) + ".com";
+    rec.entities = {{static_cast<EntityId>(lo), 1},
+                    {static_cast<EntityId>(hi), 1}};
+    ring.push_back(rec);
+  }
+  const auto cycle =
+      BipartiteGraph::FromHostTable(HostEntityTable(std::move(ring)), 30);
+  const auto cycle_full = ExactDiameter(cycle);
+  EXPECT_TRUE(cycle_full.exact);
+  EXPECT_EQ(cycle_full.diameter, 30u);
+  EXPECT_EQ(cycle_full.bfs_runs, 33u);
+  EXPECT_EQ(AllPairsDiameter(cycle).bfs_runs, 60u);
+  ThreadPool pool(2);
+  for (uint32_t max_bfs : {5u, 6u}) {
+    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      const auto cut = ExactDiameter(cycle, max_bfs, p);
+      EXPECT_FALSE(cut.exact) << "max_bfs " << max_bfs;
+      EXPECT_EQ(cut.bfs_runs, max_bfs);
+      EXPECT_LE(cut.diameter, 30u);
+    }
+  }
 }
 
 // ---------- browse months ----------
