@@ -1,6 +1,7 @@
 #include "entity/url.h"
 
 #include <array>
+#include <cstddef>
 
 #include "util/string_util.h"
 
@@ -20,72 +21,69 @@ std::string Url::ToString() const {
   return out;
 }
 
-namespace {
-
-// All parts of a parsed URL as views into the (trimmed) input: the
-// single allocation-free parser behind ParseUrl, CanonicalizeHomepageInto
-// and ParseHostInto. `scheme` and `host` are raw (not lower-cased);
-// `path` and `query` may be empty (ParseUrl defaults path to "/").
-struct UrlView {
-  std::string_view scheme;
-  std::string_view host;
-  std::string_view path;
-  std::string_view query;
-  int port = -1;
-};
-
 bool ParseUrlView(std::string_view raw, UrlView* out) {
-  raw = Trim(raw);
-  const size_t scheme_end = raw.find("://");
-  if (scheme_end == std::string_view::npos || scheme_end == 0) return false;
-  out->scheme = raw.substr(0, scheme_end);
-  if (!EqualsIgnoreCase(out->scheme, "http") &&
-      !EqualsIgnoreCase(out->scheme, "https")) {
+  const char* p = raw.data();
+  const char* end = p + raw.size();
+  while (p < end && IsSpace(*p)) ++p;
+  while (end > p && IsSpace(end[-1])) --end;
+
+  // Scheme: "http://" or "https://", any case.
+  if (end - p < 7 || ToLowerChar(p[0]) != 'h' || ToLowerChar(p[1]) != 't' ||
+      ToLowerChar(p[2]) != 't' || ToLowerChar(p[3]) != 'p') {
     return false;
   }
+  const size_t scheme_len = ToLowerChar(p[4]) == 's' ? 5 : 4;
+  if (end - p < static_cast<ptrdiff_t>(scheme_len + 3) ||
+      p[scheme_len] != ':' || p[scheme_len + 1] != '/' ||
+      p[scheme_len + 2] != '/') {
+    return false;
+  }
+  out->scheme = std::string_view(p, scheme_len);
 
-  std::string_view rest = raw.substr(scheme_end + 3);
-  // Drop the fragment first: it may contain '/' or '?'.
-  const size_t frag = rest.find('#');
-  if (frag != std::string_view::npos) rest = rest.substr(0, frag);
-
-  const size_t path_start = rest.find_first_of("/?");
-  std::string_view authority =
-      path_start == std::string_view::npos ? rest : rest.substr(0, path_start);
-  if (authority.empty()) return false;
-
-  // Strip userinfo if present (rare; synthetic corpus never emits it).
-  const size_t at = authority.rfind('@');
-  if (at != std::string_view::npos) authority = authority.substr(at + 1);
-
+  // Authority: up to the first '/', '?' or '#', noting the last '@'
+  // (userinfo ends there) and the last ':' (a port may follow it).
+  const char* authority = p + scheme_len + 3;
+  const char* at = nullptr;
+  const char* colon = nullptr;
+  const char* c = authority;
+  for (; c < end; ++c) {
+    const char ch = *c;
+    if (ch == '/' || ch == '?' || ch == '#') break;
+    if (ch == '@') {
+      at = c;
+    } else if (ch == ':') {
+      colon = c;
+    }
+  }
+  const char* host = at == nullptr ? authority : at + 1;
+  const char* host_end = c;
   out->port = -1;
-  const size_t colon = authority.rfind(':');
-  if (colon != std::string_view::npos) {
-    auto port = ParseUint64(authority.substr(colon + 1));
+  if (colon != nullptr && colon >= host) {
+    const auto port = ParseUint64(
+        std::string_view(colon + 1, static_cast<size_t>(c - colon - 1)));
     if (!port.has_value() || *port > 65535) return false;
     out->port = static_cast<int>(*port);
-    authority = authority.substr(0, colon);
+    host_end = colon;
   }
-  if (authority.empty()) return false;
-  out->host = authority;
+  if (host == host_end) return false;
+  out->host = std::string_view(host, static_cast<size_t>(host_end - host));
 
+  // Path up to '?' or '#', then the query up to '#'.
   out->path = std::string_view();
   out->query = std::string_view();
-  if (path_start != std::string_view::npos) {
-    std::string_view tail = rest.substr(path_start);
-    const size_t q = tail.find('?');
-    if (q == std::string_view::npos) {
-      out->path = tail;
-    } else {
-      out->path = tail.substr(0, q);
-      out->query = tail.substr(q + 1);
+  if (c < end && *c != '#') {
+    const char* path = c;
+    while (c < end && *c != '?' && *c != '#') ++c;
+    out->path = std::string_view(path, static_cast<size_t>(c - path));
+    if (c < end && *c == '?') {
+      const char* query = ++c;
+      while (c < end && *c != '#') ++c;
+      out->query = std::string_view(query, static_cast<size_t>(c - query));
     }
   }
   return true;
 }
 
-// NormalizeHost over views: trims, drops one leading "www." label and a
-// trailing dot; the caller lower-cases while appending.
 std::string_view NormalizeHostView(std::string_view host) {
   std::string_view h = Trim(host);
   if (h.size() > 4 && EqualsIgnoreCase(h.substr(0, 4), "www.")) {
@@ -94,6 +92,8 @@ std::string_view NormalizeHostView(std::string_view host) {
   if (!h.empty() && h.back() == '.') h.remove_suffix(1);
   return h;
 }
+
+namespace {
 
 void AppendLower(std::string_view s, std::string* out) {
   for (char c : s) out->push_back(ToLowerChar(c));

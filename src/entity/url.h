@@ -20,6 +20,34 @@ struct Url {
   std::string ToString() const;
 };
 
+/// All parts of a parsed URL as views into the input: the one
+/// allocation-free URL parser, behind ParseUrl, CanonicalizeHomepageInto,
+/// ParseHostInto and the traffic study's ParseEntityUrl. `scheme` and
+/// `host` are raw (not lower-cased); `path` and `query` may be empty
+/// (ParseUrl defaults path to "/"). `path` keeps its leading '/'; `query`
+/// drops its '?'; the fragment is dropped.
+struct UrlView {
+  std::string_view scheme;
+  std::string_view host;
+  std::string_view path;
+  std::string_view query;
+  int port = -1;  // -1 when absent
+};
+
+/// Parses an absolute http(s) URL into views over `raw` in one forward
+/// scan: surrounding ASCII whitespace is ignored, the scheme must be
+/// "http" or "https" (any case), the authority runs to the first '/',
+/// '?' or '#', userinfo up to its last '@' is skipped, and a port after
+/// the last ':' must be 0-65535. Returns false (leaving *out
+/// unspecified) for anything else: relative refs, other schemes, an
+/// empty host, a malformed port. Allocates nothing.
+bool ParseUrlView(std::string_view raw, UrlView* out);
+
+/// NormalizeHost over views: trims, drops one leading "www." label and a
+/// trailing dot, but does not lower-case (compare with EqualsIgnoreCase,
+/// or lower-case while copying).
+std::string_view NormalizeHostView(std::string_view host);
+
 /// Parses an absolute http(s) URL. Returns nullopt for anything else
 /// (relative refs, other schemes, empty host).
 std::optional<Url> ParseUrl(std::string_view raw);

@@ -79,7 +79,7 @@ struct HttpParseResult {
 /// Parses one request from the front of `buffer`. Stateless and
 /// restartable: callers append received bytes and retry on kNeedMore.
 /// Pipelined requests are supported — on kOk only `consumed` bytes are
-/// used and the caller erases them before the next parse. Fail-closed:
+/// used and the caller skips them before the next parse. Fail-closed:
 /// a header block that exceeds limits reports 413 even before the
 /// terminator arrives, so a hostile peer cannot grow the buffer
 /// unboundedly.

@@ -10,28 +10,43 @@ namespace wsd {
 namespace {
 
 // Noise URLs that must be skipped by the demand estimator: same hosts,
-// non-entity paths.
-std::string NoiseUrl(TrafficSite site, Rng& rng) {
+// non-entity paths. Written into *out (replacing its contents, reusing
+// capacity) like EntityUrlInto.
+void NoiseUrlInto(TrafficSite site, Rng& rng, std::string* out) {
+  out->clear();
   switch (site) {
     case TrafficSite::kAmazon:
-      return rng.Bernoulli(0.5)
-                 ? "http://www.amazon.com/gp/help/customer/display.html"
-                 : StrFormat("http://www.amazon.com/s?k=query%llu",
-                             (unsigned long long)rng.Uniform(100000));
+      if (rng.Bernoulli(0.5)) {
+        out->append("http://www.amazon.com/gp/help/customer/display.html");
+      } else {
+        out->append("http://www.amazon.com/s?k=query");
+        AppendZeroPadded(out, rng.Uniform(100000), 1);
+      }
+      return;
     case TrafficSite::kYelp:
-      return rng.Bernoulli(0.5)
-                 ? "http://www.yelp.com/search?find_desc=pizza"
-                 : "http://www.yelp.com/events";
+      out->append(rng.Bernoulli(0.5)
+                      ? "http://www.yelp.com/search?find_desc=pizza"
+                      : "http://www.yelp.com/events");
+      return;
     case TrafficSite::kImdb:
-      return rng.Bernoulli(0.5)
-                 ? "http://www.imdb.com/chart/top"
-                 : StrFormat("http://www.imdb.com/name/nm%07llu/",
-                             (unsigned long long)rng.Uniform(9999999));
+      if (rng.Bernoulli(0.5)) {
+        out->append("http://www.imdb.com/chart/top");
+      } else {
+        out->append("http://www.imdb.com/name/nm");
+        AppendZeroPadded(out, rng.Uniform(9999999), 7);
+        out->push_back('/');
+      }
+      return;
     case TrafficSite::kNumSites:
       break;
   }
-  return "http://example.com/";
+  out->append("http://example.com/");
 }
+
+// Capacity reserved for each reused URL buffer. The longest URL rendered
+// here is 55 bytes (an Amazon /dp/ URL with a 10-digit index), so after
+// the reserve generation allocates nothing.
+constexpr size_t kUrlCapacity = 64;
 
 }  // namespace
 
@@ -54,8 +69,13 @@ void TrafficLogGenerator::Generate(
   const TrafficSite site = population_.params.site;
   Rng rng(HashCombine(seed_, static_cast<uint64_t>(channel) + 1));
 
+  // One entity event and one noise event, reused for every click.
   VisitEvent event;
   event.channel = channel;
+  event.url.reserve(kUrlCapacity);
+  VisitEvent noise;
+  noise.channel = channel;
+  noise.url.reserve(kUrlCapacity);
   const uint32_t n = static_cast<uint32_t>(intensity.size());
   for (uint32_t entity = 0; entity < n; ++entity) {
     // Unique visitors, each returning 1 + Poisson(repeat) times. Search
@@ -71,12 +91,13 @@ void TrafficLogGenerator::Generate(
         event.month = channel == TrafficChannel::kSearch
                           ? first_month
                           : static_cast<uint8_t>(rng.Uniform(12));
-        event.url = EntityUrl(site, entity,
-                              static_cast<uint32_t>(rng.Uniform(2)));
+        EntityUrlInto(site, entity, static_cast<uint32_t>(rng.Uniform(2)),
+                      &event.url);
         sink(event);
         if (rng.Bernoulli(options_.noise_url_fraction)) {
-          VisitEvent noise = event;
-          noise.url = NoiseUrl(site, rng);
+          noise.cookie = event.cookie;
+          noise.month = event.month;
+          NoiseUrlInto(site, rng, &noise.url);
           sink(noise);
         }
       }

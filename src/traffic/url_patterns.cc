@@ -7,27 +7,26 @@ namespace wsd {
 
 namespace {
 
+// The entity index after `tag` in `key`: decimal digits (leading zeros
+// allowed) worth at most UINT32_MAX. The scan stops at the first digit
+// past that bound, so it never overflows and needs no division.
+std::optional<uint32_t> ParseIndexAfter(std::string_view key,
+                                        std::string_view tag) {
+  if (!StartsWith(key, tag) || key.size() == tag.size()) return std::nullopt;
+  uint64_t index = 0;
+  for (char c : key.substr(tag.size())) {
+    if (!IsDigit(c)) return std::nullopt;
+    index = index * 10 + static_cast<uint64_t>(c - '0');
+    if (index > UINT32_MAX) return std::nullopt;
+  }
+  return static_cast<uint32_t>(index);
+}
+
 // Parses "B%09u"-style ASINs we generate. Real ASINs are opaque; only our
 // synthetic ids round-trip, which is all the study needs.
 std::optional<uint32_t> ParseAsin(std::string_view key) {
-  if (key.size() != 10 || key[0] != 'B') return std::nullopt;
-  auto idx = ParseUint64(key.substr(1));
-  if (!idx || *idx > UINT32_MAX) return std::nullopt;
-  return static_cast<uint32_t>(*idx);
-}
-
-std::optional<uint32_t> ParseYelpSlug(std::string_view key) {
-  if (!StartsWith(key, "biz-")) return std::nullopt;
-  auto idx = ParseUint64(key.substr(4));
-  if (!idx || *idx > UINT32_MAX) return std::nullopt;
-  return static_cast<uint32_t>(*idx);
-}
-
-std::optional<uint32_t> ParseImdbTitle(std::string_view key) {
-  if (!StartsWith(key, "tt")) return std::nullopt;
-  auto idx = ParseUint64(key.substr(2));
-  if (!idx || *idx > UINT32_MAX) return std::nullopt;
-  return static_cast<uint32_t>(*idx);
+  if (key.size() != 10) return std::nullopt;
+  return ParseIndexAfter(key, "B");
 }
 
 // First path segment after `prefix` in `path`, stopping at '/'.
@@ -55,46 +54,44 @@ std::string_view TrafficSiteName(TrafficSite site) {
   return "Unknown";
 }
 
-std::string EntityKeyString(TrafficSite site, uint32_t entity_index) {
-  switch (site) {
-    case TrafficSite::kAmazon:
-      return StrFormat("B%09u", entity_index);
-    case TrafficSite::kYelp:
-      return StrFormat("biz-%06u", entity_index);
-    case TrafficSite::kImdb:
-      return StrFormat("tt%07u", entity_index);
-    case TrafficSite::kNumSites:
-      break;
-  }
-  return {};
-}
-
 std::string EntityUrl(TrafficSite site, uint32_t entity_index,
                       uint32_t variant) {
-  const std::string key = EntityKeyString(site, entity_index);
+  std::string url;
+  EntityUrlInto(site, entity_index, variant, &url);
+  return url;
+}
+
+void EntityUrlInto(TrafficSite site, uint32_t entity_index, uint32_t variant,
+                   std::string* out) {
+  out->clear();
   switch (site) {
     case TrafficSite::kAmazon:
-      if (variant % 2 == 0) {
-        return "http://www.amazon.com/gp/product/" + key;
-      }
-      return "http://www.amazon.com/some-product-title/dp/" + key;
+      out->append(variant % 2 == 0
+                      ? "http://www.amazon.com/gp/product/B"
+                      : "http://www.amazon.com/some-product-title/dp/B");
+      AppendZeroPadded(out, entity_index, 9);
+      return;
     case TrafficSite::kYelp:
-      return "http://www.yelp.com/biz/" + key;
+      out->append("http://www.yelp.com/biz/biz-");
+      AppendZeroPadded(out, entity_index, 6);
+      return;
     case TrafficSite::kImdb:
-      return "http://www.imdb.com/title/" + key + "/";
+      out->append("http://www.imdb.com/title/tt");
+      AppendZeroPadded(out, entity_index, 7);
+      out->push_back('/');
+      return;
     case TrafficSite::kNumSites:
       break;
   }
-  return {};
 }
 
 std::optional<EntityUrlKey> ParseEntityUrl(std::string_view url) {
-  auto parsed = ParseUrl(url);
-  if (!parsed.has_value()) return std::nullopt;
-  const std::string host = NormalizeHost(parsed->host);
-  const std::string& path = parsed->path;
+  UrlView parsed;
+  if (!ParseUrlView(url, &parsed)) return std::nullopt;
+  const std::string_view host = NormalizeHostView(parsed.host);
+  const std::string_view path = parsed.path;
 
-  if (host == "amazon.com") {
+  if (EqualsIgnoreCase(host, "amazon.com")) {
     // amazon.com/gp/product/[ID] or amazon.com/*/dp/[ID].
     std::string_view key = SegmentAfter(path, "/gp/product/");
     if (key.empty()) key = SegmentAfter(path, "/dp/");
@@ -103,17 +100,17 @@ std::optional<EntityUrlKey> ParseEntityUrl(std::string_view url) {
     if (!idx) return std::nullopt;
     return EntityUrlKey{TrafficSite::kAmazon, *idx};
   }
-  if (host == "yelp.com") {
+  if (EqualsIgnoreCase(host, "yelp.com")) {
     const std::string_view key = SegmentAfter(path, "/biz/");
     if (key.empty()) return std::nullopt;
-    auto idx = ParseYelpSlug(key);
+    auto idx = ParseIndexAfter(key, "biz-");
     if (!idx) return std::nullopt;
     return EntityUrlKey{TrafficSite::kYelp, *idx};
   }
-  if (host == "imdb.com") {
+  if (EqualsIgnoreCase(host, "imdb.com")) {
     const std::string_view key = SegmentAfter(path, "/title/");
     if (key.empty()) return std::nullopt;
-    auto idx = ParseImdbTitle(key);
+    auto idx = ParseIndexAfter(key, "tt");
     if (!idx) return std::nullopt;
     return EntityUrlKey{TrafficSite::kImdb, *idx};
   }

@@ -24,20 +24,25 @@ struct EntityUrlKey {
   uint32_t entity_index = 0;
 };
 
-/// Canonical entity key strings, mirroring each site's real scheme:
-/// Amazon: 10-character ASIN-like id ("B%09u"); Yelp: business slug
-/// ("biz-%06u"); IMDb: 7-digit title number.
-std::string EntityKeyString(TrafficSite site, uint32_t entity_index);
-
 /// Builds a visitable URL for the entity. Amazon entities alternate
 /// between the /gp/product/ and /*/dp/ forms (both occur in real logs and
-/// both must parse; `variant` selects the form).
+/// both must parse; `variant` selects the form). The entity key mirrors
+/// each site's real scheme: Amazon a 10-character ASIN-like id
+/// ("B%09u"), Yelp a business slug ("biz-%06u"), IMDb a 7-digit title
+/// number ("tt%07u").
 std::string EntityUrl(TrafficSite site, uint32_t entity_index,
                       uint32_t variant = 0);
 
+/// Zero-allocation variant of EntityUrl: writes the same bytes into *out
+/// (replacing its contents, reusing capacity). The log generator renders
+/// every click into one reused buffer this way.
+void EntityUrlInto(TrafficSite site, uint32_t entity_index, uint32_t variant,
+                   std::string* out);
+
 /// Recognizes the three URL patterns and extracts the entity index
 /// ("we extracted user clicks on URLs that correspond to a unique
-/// structured entity", §4.1). Returns nullopt for anything else.
+/// structured entity", §4.1). Returns nullopt for anything else. Parses
+/// on views (ParseUrlView) and allocates nothing.
 std::optional<EntityUrlKey> ParseEntityUrl(std::string_view url);
 
 }  // namespace wsd

@@ -175,6 +175,18 @@ void AppendFormat(std::string* out, const char* fmt, ...) {
   va_end(args);
 }
 
+void AppendZeroPadded(std::string* out, uint64_t v, size_t min_digits) {
+  char buf[20];  // UINT64_MAX has 20 digits
+  char* first = buf + sizeof(buf);
+  do {
+    *--first = static_cast<char>('0' + v % 10);
+    v /= 10;
+  } while (v != 0);
+  const size_t digits = static_cast<size_t>(buf + sizeof(buf) - first);
+  if (digits < min_digits) out->append(min_digits - digits, '0');
+  out->append(first, digits);
+}
+
 std::string WithCommas(uint64_t v) {
   std::string digits = std::to_string(v);
   std::string out;

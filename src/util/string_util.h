@@ -70,6 +70,11 @@ std::string StrFormat(const char* fmt, ...)
 void AppendFormat(std::string* out, const char* fmt, ...)
     __attribute__((format(printf, 2, 3)));
 
+/// Appends `v` in decimal, left-padded with zeros to at least `min_digits`
+/// digits: printf's "%0*llu" without parsing a format. Allocates only if
+/// *out must grow.
+void AppendZeroPadded(std::string* out, uint64_t v, size_t min_digits);
+
 /// Formats `v` with thousands separators ("1,234,567"); for reports.
 std::string WithCommas(uint64_t v);
 

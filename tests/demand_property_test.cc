@@ -20,7 +20,9 @@ struct RandomLog {
   uint32_t num_entities;
 };
 
-RandomLog MakeRandomLog(uint64_t seed) {
+// `months` bounds the month byte: 12 as the generator emits, or 256 for
+// any byte the estimator must also accept.
+RandomLog MakeRandomLog(uint64_t seed, uint32_t months = 12) {
   Rng rng(seed);
   RandomLog log;
   log.num_entities = 20 + static_cast<uint32_t>(rng.Uniform(50));
@@ -28,7 +30,7 @@ RandomLog MakeRandomLog(uint64_t seed) {
   for (int i = 0; i < n; ++i) {
     VisitEvent event;
     event.cookie = 1 + rng.Uniform(40);  // small pool: many collisions
-    event.month = static_cast<uint8_t>(rng.Uniform(12));
+    event.month = static_cast<uint8_t>(rng.Uniform(months));
     event.channel = rng.Bernoulli(0.5) ? TrafficChannel::kSearch
                                        : TrafficChannel::kBrowse;
     const uint32_t entity =
@@ -71,8 +73,7 @@ void BruteForce(const RandomLog& log, std::vector<double>* search,
 class DemandEstimatorProperty : public ::testing::TestWithParam<uint64_t> {
 };
 
-TEST_P(DemandEstimatorProperty, MatchesBruteForce) {
-  const RandomLog log = MakeRandomLog(GetParam());
+void ExpectMatchesBruteForce(const RandomLog& log) {
   DemandEstimator estimator(TrafficSite::kYelp, log.num_entities);
   for (const VisitEvent& event : log.events) estimator.Consume(event);
   const DemandTable table = estimator.Finalize();
@@ -84,6 +85,19 @@ TEST_P(DemandEstimatorProperty, MatchesBruteForce) {
     EXPECT_DOUBLE_EQ(table.search_demand[e], search[e]) << "entity " << e;
     EXPECT_DOUBLE_EQ(table.browse_demand[e], browse[e]) << "entity " << e;
   }
+}
+
+TEST_P(DemandEstimatorProperty, MatchesBruteForce) {
+  ExpectMatchesBruteForce(MakeRandomLog(GetParam()));
+}
+
+// The estimator takes the month as an opaque byte: months past 11 are
+// distinct months, so a scheme that buckets 12 months must fail here.
+TEST_P(DemandEstimatorProperty, AnyMonthByteMatchesBruteForce) {
+  RandomLog log = MakeRandomLog(GetParam(), 256);
+  log.events[0].month = 0;
+  log.events[1].month = 255;
+  ExpectMatchesBruteForce(log);
 }
 
 TEST_P(DemandEstimatorProperty, OrderIndependent) {

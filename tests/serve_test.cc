@@ -6,11 +6,13 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -761,6 +763,124 @@ TEST(ServerLoopback, NonReadingClientIsDisconnected) {
   server.Shutdown();
   EXPECT_LT(std::chrono::steady_clock::now() - drain_start,
             std::chrono::seconds(1));
+}
+
+// Reads one Content-Length response from `fd`, buffering any bytes past
+// it in *pending. False on EOF, error or the socket's receive timeout.
+bool ReadResponse(int fd, std::string* pending, int* status,
+                  std::string* body) {
+  char chunk[4096];
+  size_t header_end;
+  while ((header_end = pending->find("\r\n\r\n")) == std::string::npos) {
+    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+    if (n <= 0) return false;
+    pending->append(chunk, static_cast<size_t>(n));
+  }
+  const std::string head = pending->substr(0, header_end + 2);
+  if (head.compare(0, 9, "HTTP/1.1 ") != 0) return false;
+  *status = std::atoi(head.c_str() + 9);
+  const std::string kLength = "\r\nContent-Length: ";
+  const size_t at = head.find(kLength);
+  if (at == std::string::npos) return false;
+  const size_t length =
+      std::strtoull(head.c_str() + at + kLength.size(), nullptr, 10);
+  const size_t total = header_end + 4 + length;
+  while (pending->size() < total) {
+    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+    if (n <= 0) return false;
+    pending->append(chunk, static_cast<size_t>(n));
+  }
+  *body = pending->substr(header_end + 4, length);
+  pending->erase(0, total);
+  return true;
+}
+
+// One send() carries 300 pipelined requests. Every response must come
+// back, in request order, with the body a direct render gives, and the
+// connection must still serve a request after the burst.
+TEST(ServerLoopback, PipelinedBurstAnsweredInOrder) {
+  StudyOptions options = SmallOptions();
+  ScanHandleCache cache(options, 64 * 1024 * 1024);
+  ServeContext ctx;
+  ctx.base = options;
+  ctx.cache = &cache;
+  ServerOptions server_options;
+  server_options.port = 0;
+  server_options.max_keepalive_requests = 1000;  // above the 301 sent here
+  HttpServer server(&ctx, server_options);
+  ASSERT_TRUE(server.Start().ok());
+
+  Study study(options);
+  auto scan = study.Scan(Domain::kBooks, Attribute::kIsbn);
+  ASSERT_TRUE(scan.ok());
+  auto curve = ComputeKCoverage(
+      scan->table(), options.ScaledEntities(), 10,
+      DefaultCoverageTValues(
+          static_cast<uint32_t>(scan->table().num_hosts())));
+  ASSERT_TRUE(curve.ok());
+  const std::string want_spread =
+      SpreadBody(Domain::kBooks, Attribute::kIsbn, *curve, WireFormat::kJson);
+  const std::string spread_target = "/spread?domain=books&attr=isbn";
+
+  // Warm the response cache, so the burst is served from memory.
+  {
+    HttpClient client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+    auto warm = client.Get(spread_target);
+    ASSERT_TRUE(warm.ok());
+    ASSERT_EQ(warm->status, 200);
+    ASSERT_EQ(warm->body, want_spread);
+  }
+
+  constexpr int kRequests = 300;
+  std::string burst;
+  std::vector<const std::string*> want;
+  const std::string want_health = "ok\n";
+  for (int i = 0; i < kRequests; ++i) {
+    const bool health = i % 3 == 0;
+    burst += "GET ";
+    burst += health ? "/healthz" : spread_target;
+    burst += " HTTP/1.1\r\nHost: t\r\n\r\n";
+    want.push_back(health ? &want_health : &want_spread);
+  }
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  timeval tv{};
+  tv.tv_sec = 10;  // a lost response fails the test instead of hanging it
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server.port());
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof(addr)),
+            0);
+  ASSERT_EQ(::send(fd, burst.data(), burst.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(burst.size()));
+
+  std::string pending;
+  int status = 0;
+  std::string body;
+  int answered = 0;
+  int mismatches = 0;
+  for (; answered < kRequests; ++answered) {
+    if (!ReadResponse(fd, &pending, &status, &body)) break;
+    if (status != 200 || body != *want[answered]) ++mismatches;
+  }
+  EXPECT_EQ(answered, kRequests);
+  EXPECT_EQ(mismatches, 0);
+  EXPECT_TRUE(pending.empty()) << "bytes past the last response";
+
+  // The connection survives the burst.
+  const std::string after = "GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n";
+  ASSERT_EQ(::send(fd, after.data(), after.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(after.size()));
+  ASSERT_TRUE(ReadResponse(fd, &pending, &status, &body));
+  EXPECT_EQ(status, 200);
+  EXPECT_EQ(body, want_health);
+  ::close(fd);
+  server.Shutdown();
 }
 
 }  // namespace

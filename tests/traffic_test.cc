@@ -1,10 +1,47 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdlib>
+#include <functional>
+#include <new>
+#include <string>
+
 #include "traffic/demand.h"
 #include "traffic/review_model.h"
 #include "traffic/traffic_log.h"
 #include "traffic/url_patterns.h"
 #include "util/histogram.h"
+#include "util/string_util.h"
+
+// --- Allocation counting hook (for the warm-up allocation test) ---
+//
+// Replaces global operator new/delete with malloc/free plus a
+// thread-local counter that only ticks while armed, so the override is
+// inert outside that test.
+namespace {
+thread_local bool g_count_allocs = false;
+thread_local uint64_t g_alloc_count = 0;
+
+struct AllocCountGuard {
+  AllocCountGuard() {
+    g_alloc_count = 0;
+    g_count_allocs = true;
+  }
+  ~AllocCountGuard() { g_count_allocs = false; }
+};
+}  // namespace
+
+void* operator new(size_t size) {
+  if (g_count_allocs) ++g_alloc_count;
+  void* p = std::malloc(size == 0 ? 1 : size);
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+void* operator new[](size_t size) { return ::operator new(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, size_t) noexcept { std::free(p); }
+void operator delete[](void* p, size_t) noexcept { std::free(p); }
 
 namespace wsd {
 namespace {
@@ -31,6 +68,55 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(static_cast<int>(TrafficSite::kAmazon),
                       static_cast<int>(TrafficSite::kYelp),
                       static_cast<int>(TrafficSite::kImdb)));
+
+// The StrFormat formulas EntityUrl rendered with before it wrote digits
+// in place; the reference for its bytes.
+std::string FormatEntityUrl(TrafficSite site, uint32_t idx,
+                            uint32_t variant) {
+  switch (site) {
+    case TrafficSite::kAmazon:
+      return (variant % 2 == 0
+                  ? std::string("http://www.amazon.com/gp/product/")
+                  : std::string(
+                        "http://www.amazon.com/some-product-title/dp/")) +
+             StrFormat("B%09u", idx);
+    case TrafficSite::kYelp:
+      return "http://www.yelp.com/biz/" + StrFormat("biz-%06u", idx);
+    case TrafficSite::kImdb:
+      return "http://www.imdb.com/title/" + StrFormat("tt%07u", idx) + "/";
+    case TrafficSite::kNumSites:
+      break;
+  }
+  return {};
+}
+
+TEST(UrlPatternTest, EntityUrlMatchesFormatReference) {
+  for (int s = 0; s < static_cast<int>(TrafficSite::kNumSites); ++s) {
+    const TrafficSite site = static_cast<TrafficSite>(s);
+    for (uint32_t idx :
+         {0u, 9u, 10u, 999999u, 1000000u, 9999999u, 10000000u, 999999999u,
+          1000000000u, UINT32_MAX}) {
+      for (uint32_t variant : {0u, 1u}) {
+        const std::string want = FormatEntityUrl(site, idx, variant);
+        const std::string url = EntityUrl(site, idx, variant);
+        EXPECT_EQ(url, want);
+        std::string into = "stale contents";
+        EntityUrlInto(site, idx, variant, &into);
+        EXPECT_EQ(into, want);
+        // An ASIN is 10 characters, so Amazon indices from 10^9 on do not
+        // parse back; every Yelp and IMDb index does.
+        const bool round_trips =
+            site != TrafficSite::kAmazon || idx < 1000000000u;
+        const auto key = ParseEntityUrl(url);
+        ASSERT_EQ(key.has_value(), round_trips) << url;
+        if (key.has_value()) {
+          EXPECT_EQ(key->site, site) << url;
+          EXPECT_EQ(key->entity_index, idx) << url;
+        }
+      }
+    }
+  }
+}
 
 TEST(UrlPatternTest, MatchesPaperPatterns) {
   // amazon.com/gp/product/[ID] and amazon.com/*/dp/[ID]
@@ -131,6 +217,44 @@ TEST(TrafficLogTest, EventsParseAndCountsMatchIntensity) {
   EXPECT_NEAR(static_cast<double>(events),
               generator.ExpectedEvents(TrafficChannel::kSearch),
               0.1 * generator.ExpectedEvents(TrafficChannel::kSearch));
+}
+
+// Heap allocations of Generate on both channels of every site, into a
+// sink that parses each URL. Few visits per entity keep it quick.
+uint64_t GenerateAndParseAllocations(uint32_t num_entities) {
+  uint64_t allocs = 0;
+  for (int s = 0; s < static_cast<int>(TrafficSite::kNumSites); ++s) {
+    TrafficSiteParams params =
+        DefaultTrafficParams(static_cast<TrafficSite>(s));
+    params.num_entities = num_entities;
+    params.mean_visits = 3.0;
+    const SitePopulation pop = BuildPopulation(params, 5);
+    const TrafficLogGenerator generator(pop, TrafficLogOptions{}, 17);
+    uint64_t events = 0, parsed = 0;
+    const std::function<void(const VisitEvent&)> sink =
+        [&](const VisitEvent& e) {
+          ++events;
+          parsed += ParseEntityUrl(e.url).has_value();
+        };
+    {
+      AllocCountGuard guard;
+      generator.Generate(TrafficChannel::kSearch, sink);
+      generator.Generate(TrafficChannel::kBrowse, sink);
+      allocs += g_alloc_count;
+    }
+    EXPECT_GT(parsed, events / 2);
+    EXPECT_LT(parsed, events);  // noise URLs are present and skipped
+  }
+  return allocs;
+}
+
+TEST(TrafficLogTest, GenerateAndParseAllocateOnlyAtWarmUp) {
+  const uint64_t small = GenerateAndParseAllocations(2000);
+  const uint64_t large = GenerateAndParseAllocations(20000);
+  // Each Generate call reserves its two reused URL buffers and nothing
+  // more: the count is a constant, not a function of the event count.
+  EXPECT_EQ(small, large);
+  EXPECT_LE(small, 12u);
 }
 
 TEST(DemandEstimatorTest, DeduplicatesCookiesPerPaperRules) {
