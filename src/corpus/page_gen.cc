@@ -90,19 +90,21 @@ void CloseLayout(PageLayout layout, std::string* out) {
 void RenderDistractor(Attribute attr, Rng& rng, std::string* out) {
   switch (rng.Uniform(3)) {
     case 0:
-      AppendFormat(out, "<p>Order confirmation #%llu</p>\n",
-                   (unsigned long long)rng.Uniform(10000000000ULL));
+      out->append("<p>Order confirmation #");
+      AppendZeroPadded(out, rng.Uniform(10000000000ULL), 1);
+      out->append("</p>\n");
       break;
     case 1:
       if (attr == Attribute::kIsbn) {
         // A 13-digit number with no ISBN context/checksum.
-        AppendFormat(out, "<p>Tracking id %llu</p>\n",
-                     (unsigned long long)(1000000000000ULL +
-                                          rng.Uniform(999999999ULL)));
+        out->append("<p>Tracking id ");
+        AppendZeroPadded(out, 1000000000000ULL + rng.Uniform(999999999ULL),
+                         1);
+        out->append("</p>\n");
       } else {
         // A valid-looking phone that is not in the catalog w.h.p.
         out->append("<p>Fax: ");
-        out->append(RandomPhone(rng).Format(PhoneFormat::kDashed));
+        RandomPhone(rng).FormatInto(PhoneFormat::kDashed, out);
         out->append("</p>\n");
       }
       break;
@@ -117,9 +119,10 @@ void RenderPageHead(const std::string& host, uint32_t page_index,
                     std::string* out) {
   out->append("<!DOCTYPE html>\n<html><head><title>");
   html::EscapeHtmlInto(host, out);
-  AppendFormat(out, " &ndash; page %u</title>", page_index);
-  out->append("<meta charset=\"utf-8\"></head>\n<body>\n");
-  out->append("<div class=\"nav\"><a href=\"/\">Home</a> | "
+  out->append(" &ndash; page ");
+  AppendZeroPadded(out, page_index, 1);
+  out->append("</title><meta charset=\"utf-8\"></head>\n<body>\n"
+              "<div class=\"nav\"><a href=\"/\">Home</a> | "
               "<a href=\"/about.html\">About</a></div>\n");
 }
 
@@ -190,30 +193,31 @@ uint32_t PageGenerator::GeneratePages(
   truth.site = s;
 
   if (spec.review_channel) {
-    // Review/boilerplate prose is generated into a reused buffer and
-    // HTML-escaped from there (the sentence templates still allocate
-    // internally; the reviews corpus is not on the zero-alloc path).
-    std::string text;
     uint32_t page_index = 0;
     for (const SiteMention* m = begin; m != end; ++m) {
       const Entity& e = catalog_.entity(m->entity);
       for (uint16_t rep = 0; rep < m->mention_pages; ++rep) {
         const bool is_review = rng.Bernoulli(options_.review_fraction);
-        page.url.clear();
-        AppendFormat(&page.url, "http://%s/biz/%u-%u.html", host.c_str(),
-                     m->entity, rep);
+        page.url.assign("http://");
+        page.url.append(host);
+        page.url.append("/biz/");
+        AppendZeroPadded(&page.url, m->entity, 1);
+        page.url.push_back('-');
+        AppendZeroPadded(&page.url, rep, 1);
+        page.url.append(".html");
         page.html.clear();
         RenderPageHead(host, page_index, &page.html);
         RenderMention(spec, e, annotation, PageLayout::kDivBlocks, rng,
                       &page.html);
         page.html.append("<div class=\"content\"><p>");
-        text.clear();
+        // The prose is written straight into the page and escaped there.
+        const size_t prose = page.html.size();
         if (is_review) {
-          text::GenerateReviewTextInto(rng, e.name, &text);
+          text::GenerateReviewTextInto(rng, e.name, &page.html);
         } else {
-          text::GenerateBoilerplateTextInto(rng, e.name, &text);
+          text::GenerateBoilerplateTextInto(rng, e.name, &page.html);
         }
-        html::EscapeHtmlInto(text, &page.html);
+        html::EscapeHtmlInPlace(&page.html, prose);
         page.html.append("</p></div>\n");
         if (rng.Bernoulli(options_.distractor_prob)) {
           RenderDistractor(options_.attr, rng, &page.html);
@@ -234,9 +238,11 @@ uint32_t PageGenerator::GeneratePages(
   uint32_t page_index = 0;
   for (uint32_t i = 0; i < mentions; i += per_page, ++page_index) {
     const uint32_t count = std::min(per_page, mentions - i);
-    page.url.clear();
-    AppendFormat(&page.url, "http://%s/page%u.html", host.c_str(),
-                 page_index);
+    page.url.assign("http://");
+    page.url.append(host);
+    page.url.append("/page");
+    AppendZeroPadded(&page.url, page_index, 1);
+    page.url.append(".html");
     page.html.clear();
     RenderPageHead(host, page_index, &page.html);
     const auto layout = static_cast<PageLayout>(

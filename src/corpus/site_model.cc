@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <unordered_set>
 
 #include "extract/attribute_registry.h"
 #include "util/logging.h"
@@ -89,7 +88,8 @@ StatusOr<SiteEntityModel> SiteEntityModel::Build(const DomainCatalog& catalog,
   edges.reserve(static_cast<size_t>(
       static_cast<double>(n) * params.mean_degree * 1.05));
 
-  std::unordered_set<uint32_t> picked;
+  // picked_by[s] == e + 1 once entity e has an edge to regular site s.
+  std::vector<uint32_t> picked_by(num_regular, 0);
   for (uint32_t e = 0; e + num_isolated < n; ++e) {
     double draw = rng.LogNormal(mu, sigma);
     uint64_t degree = static_cast<uint64_t>(std::llround(draw));
@@ -102,8 +102,8 @@ StatusOr<SiteEntityModel> SiteEntityModel::Build(const DomainCatalog& catalog,
                             static_cast<double>(degree) <
                                 params.head_degree_ref;
 
-    picked.clear();
-    while (picked.size() < degree) {
+    uint64_t picked = 0;
+    while (picked < degree) {
       SiteId s;
       if (is_local) {
         s = static_cast<SiteId>(tail_sites.Sample(rng));
@@ -113,7 +113,9 @@ StatusOr<SiteEntityModel> SiteEntityModel::Build(const DomainCatalog& catalog,
       } else {
         s = static_cast<SiteId>(flat_sites.Sample(rng));
       }
-      if (!picked.insert(s).second) continue;
+      if (picked_by[s] == e + 1) continue;
+      picked_by[s] = e + 1;
+      ++picked;
       // Head aggregators host more pages per entity.
       const double extra = params.mention_extra *
                            (s < local_cutoff ? params.head_page_boost : 1.0);
@@ -147,8 +149,9 @@ StatusOr<SiteEntityModel> SiteEntityModel::Build(const DomainCatalog& catalog,
   {
     uint32_t e = n - num_isolated;
     while (e < n) {
-      const uint32_t pocket_sites =
-          1 + (rng.Bernoulli(0.3) ? 1 : 0) + (rng.Bernoulli(0.1) ? 1 : 0);
+      uint32_t pocket_sites = 1;
+      if (rng.Bernoulli(0.3)) ++pocket_sites;
+      if (rng.Bernoulli(0.1)) ++pocket_sites;
       const uint32_t pocket_entities =
           std::min<uint32_t>(n - e, rng.Bernoulli(0.25) ? 2 : 1);
       for (uint32_t pe = 0; pe < pocket_entities; ++pe) {

@@ -86,9 +86,13 @@ std::string_view Pick(Rng& rng, const std::array<std::string_view, N>& arr) {
 
 }  // namespace
 
+// Every draw below sits in its own statement, in the order the stream has
+// always served them (right operand first): C++ leaves the order of two
+// draws in one expression to the compiler.
 std::string GenerateName(Rng& rng, NameKind kind) {
-  const std::string stem =
-      std::string(Pick(rng, kAdjectives)) + " " + std::string(Pick(rng, kNouns));
+  const std::string_view noun = Pick(rng, kNouns);
+  const std::string_view adjective = Pick(rng, kAdjectives);
+  const std::string stem = std::string(adjective) + " " + std::string(noun);
   switch (kind) {
     case NameKind::kRestaurant:
       return stem + " " + std::string(Pick(rng, kRestaurantSuffix));
@@ -108,16 +112,18 @@ std::string GenerateName(Rng& rng, NameKind kind) {
       return stem + " " + std::string(Pick(rng, kHomeGardenSuffix));
     case NameKind::kBook: {
       // "The <Word> of <Word>" style titles.
-      return "The " + std::string(Pick(rng, kBookWords)) + " of " +
-             std::string(Pick(rng, kBookWords));
+      const std::string_view object = Pick(rng, kBookWords);
+      const std::string_view subject = Pick(rng, kBookWords);
+      return "The " + std::string(subject) + " of " + std::string(object);
     }
   }
   return stem;
 }
 
 std::string GenerateCity(Rng& rng) {
-  return std::string(Pick(rng, kCityStems)) +
-         std::string(Pick(rng, kCitySuffixes));
+  const std::string_view suffix = Pick(rng, kCitySuffixes);
+  const std::string_view stem = Pick(rng, kCityStems);
+  return std::string(stem) + std::string(suffix);
 }
 
 std::string HostFromName(const std::string& name, const std::string& city) {
@@ -135,8 +141,9 @@ std::string HostFromName(const std::string& name, const std::string& city) {
 }
 
 std::string GeneratePersonName(Rng& rng) {
-  return std::string(Pick(rng, kFirstNames)) + " " +
-         std::string(Pick(rng, kLastNames));
+  const std::string_view last = Pick(rng, kLastNames);
+  const std::string_view first = Pick(rng, kFirstNames);
+  return std::string(first) + " " + std::string(last);
 }
 
 }  // namespace wsd

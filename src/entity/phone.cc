@@ -1,5 +1,8 @@
 #include "entity/phone.h"
 
+#include <cstring>
+#include <iterator>
+
 #include "util/logging.h"
 #include "util/string_util.h"
 
@@ -27,28 +30,47 @@ void NxxFromRank(uint64_t rank, char* out) {
   out[2] = static_cast<char>('0' + within % 10);
 }
 
+// The text before each digit group, per separated PhoneFormat (kBare and
+// anything past it print the digits as stored).
+struct PhoneLayout {
+  std::string_view before_area, before_exchange, before_line;
+};
+constexpr PhoneLayout kLayouts[] = {
+    {"(", ") ", "-"},   // kParenthesized
+    {"", "-", "-"},     // kDashed
+    {"", ".", "."},     // kDotted
+    {"", " ", " "},     // kSpaced
+    {"+1-", "-", "-"},  // kPlusOne
+};
+static_assert(std::size(kLayouts) == static_cast<size_t>(PhoneFormat::kBare));
+
 }  // namespace
 
 std::string Phone::Format(PhoneFormat format) const {
+  std::string out;
+  FormatInto(format, &out);
+  return out;
+}
+
+void Phone::FormatInto(PhoneFormat format, std::string* out) const {
   WSD_DCHECK(digits_.size() == 10);
-  const std::string a(area_code()), e(exchange()), l(line());
-  switch (format) {
-    case PhoneFormat::kParenthesized:
-      return "(" + a + ") " + e + "-" + l;
-    case PhoneFormat::kDashed:
-      return a + "-" + e + "-" + l;
-    case PhoneFormat::kDotted:
-      return a + "." + e + "." + l;
-    case PhoneFormat::kSpaced:
-      return a + " " + e + " " + l;
-    case PhoneFormat::kPlusOne:
-      return "+1-" + a + "-" + e + "-" + l;
-    case PhoneFormat::kBare:
-      return digits_;
-    case PhoneFormat::kNumFormats:
-      break;
+  const auto i = static_cast<size_t>(format);
+  if (i >= std::size(kLayouts)) {
+    out->append(digits_);
+    return;
   }
-  return digits_;
+  const PhoneLayout& layout = kLayouts[i];
+  // Assemble on the stack and append once; the longest form,
+  // "+1-415-555-0134", is 15 bytes.
+  char buf[16];
+  size_t n = 0;
+  for (const std::string_view part :
+       {layout.before_area, area_code(), layout.before_exchange, exchange(),
+        layout.before_line, line()}) {
+    std::memcpy(buf + n, part.data(), part.size());
+    n += part.size();
+  }
+  out->append(buf, n);
 }
 
 bool IsValidNanp(std::string_view digits) {

@@ -46,6 +46,10 @@ class Phone {
   /// Renders the number in the given display format.
   std::string Format(PhoneFormat format) const;
 
+  /// Appending variant of Format, for render-into-buffer page generation:
+  /// appends the same bytes to *out and allocates only if *out must grow.
+  void FormatInto(PhoneFormat format, std::string* out) const;
+
   friend bool operator==(const Phone& a, const Phone& b) {
     return a.digits_ == b.digits_;
   }

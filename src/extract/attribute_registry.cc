@@ -166,15 +166,15 @@ SpreadParams MicrodataSpread(Domain domain) { return PhoneSpread(domain); }
 
 // ---------------------------------------------------------------------------
 // Mention rendering (moved here from page_gen.cc's RenderAttribute switch).
-// Formatted phones (max 15 chars) fit small-string capacity; ISBNs render
-// through FormatIsbnInto — so no heap allocation per mention.
+// Phones render through Phone::FormatInto and ISBNs through FormatIsbnInto,
+// straight into the page buffer — so no heap allocation per mention.
 
 void PhoneRenderMention(const Entity& e, Rng& rng, uint32_t /*annotation*/,
                         std::string* out) {
   const auto format = static_cast<PhoneFormat>(
       rng.Uniform(static_cast<uint64_t>(PhoneFormat::kNumFormats)));
   out->append(" &middot; Call ");
-  out->append(e.phone.Format(format));
+  e.phone.FormatInto(format, out);
 }
 
 void HomepageRenderMention(const Entity& e, Rng& /*rng*/,
@@ -192,18 +192,15 @@ void IsbnRenderMention(const Entity& e, Rng& rng, uint32_t /*annotation*/,
   FormatIsbnInto(e.isbn13, style, out);
 }
 
-// Parentheses rendered as character references, which the extractor must
-// decode before phone matching (exercises DecodeCharRefsInto on the
-// microdata path).
-void AppendPhoneCharRefEncoded(const std::string& formatted,
-                               std::string* out) {
-  for (const char c : formatted) {
-    if (c == '(') {
-      out->append("&#40;");
-    } else if (c == ')') {
-      out->append("&#41;");
-    } else {
-      out->push_back(c);
+// Rewrites the parentheses in (*out)[pos..] as character references,
+// which the extractor must decode before phone matching (exercises
+// DecodeCharRefsInto on the microdata path).
+void CharRefEncodeParens(size_t pos, std::string* out) {
+  for (size_t i = pos; i < out->size(); ++i) {
+    const char c = (*out)[i];
+    if (c == '(' || c == ')') {
+      out->replace(i, 1, c == '(' ? "&#40;" : "&#41;");
+      i += 4;
     }
   }
 }
@@ -217,7 +214,7 @@ void MicrodataRenderMention(const Entity& e, Rng& rng, uint32_t annotation,
     // no markup, invisible to the explicit-markup extractor — this is
     // what makes the measured spread adoption-filtered.
     out->append(" &middot; Call ");
-    out->append(e.phone.Format(format));
+    e.phone.FormatInto(format, out);
     return;
   }
   out->append(
@@ -226,11 +223,10 @@ void MicrodataRenderMention(const Entity& e, Rng& rng, uint32_t annotation,
       "itemprop=\"name\">");
   html::EscapeHtmlInto(e.name, out);
   out->append("</span> <span itemprop=\"telephone\">");
-  const std::string formatted = e.phone.Format(format);
+  const size_t phone = out->size();
+  e.phone.FormatInto(format, out);
   if (format == PhoneFormat::kParenthesized && rng.Bernoulli(0.25)) {
-    AppendPhoneCharRefEncoded(formatted, out);
-  } else {
-    out->append(formatted);
+    CharRefEncodeParens(phone, out);
   }
   out->append("</span></span>");
 }
@@ -299,7 +295,8 @@ void MicrodataRenderPageEpilogue(const DomainCatalog& catalog,
     out->append("\",\"telephone\":\"");
     const auto format = static_cast<PhoneFormat>(
         rng.Uniform(static_cast<uint64_t>(PhoneFormat::kNumFormats)));
-    AppendJsonEscaped(e.phone.Format(format), out);
+    // Digits, spaces and ()+-. need no JSON escaping.
+    e.phone.FormatInto(format, out);
     out->append("\"}");
   }
   out->append("]}\n</script>\n");

@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cstdint>
+#include <cstring>
 
 #include "util/string_util.h"
 
@@ -30,6 +31,24 @@ constexpr std::array<NamedRef, 13> kNamedRefs = {{
     {"middot", "\xc2\xb7"},
     {"bull", "\xe2\x80\xa2"},
 }};
+
+// The character references EscapeHtml writes, and per byte the index of
+// its reference (0, the empty one, for bytes written as is).
+constexpr std::string_view kEscapeRefs[] = {"",     "&amp;",  "&lt;",
+                                            "&gt;", "&quot;", "&#39;"};
+constexpr std::array<uint8_t, 256> kEscapeIndex = [] {
+  std::array<uint8_t, 256> index{};
+  index['&'] = 1;
+  index['<'] = 2;
+  index['>'] = 3;
+  index['"'] = 4;
+  index['\''] = 5;
+  return index;
+}();
+
+std::string_view EscapeFor(char c) {
+  return kEscapeRefs[kEscapeIndex[static_cast<unsigned char>(c)]];
+}
 
 // Appends the UTF-8 encoding of `cp` to `out`. Invalid code points are
 // replaced with U+FFFD.
@@ -169,26 +188,38 @@ std::string EscapeHtml(std::string_view s) {
 }
 
 void EscapeHtmlInto(std::string_view s, std::string* out) {
-  std::string& ref = *out;
-  for (char c : s) {
-    switch (c) {
-      case '&':
-        ref.append("&amp;");
-        break;
-      case '<':
-        ref.append("&lt;");
-        break;
-      case '>':
-        ref.append("&gt;");
-        break;
-      case '"':
-        ref.append("&quot;");
-        break;
-      case '\'':
-        ref.append("&#39;");
-        break;
-      default:
-        ref.push_back(c);
+  // Append the runs between special bytes in bulk.
+  size_t run = 0;
+  for (size_t i = 0; i < s.size(); ++i) {
+    const std::string_view ref = EscapeFor(s[i]);
+    if (ref.empty()) continue;
+    out->append(s.data() + run, i - run);
+    out->append(ref);
+    run = i + 1;
+  }
+  out->append(s.data() + run, s.size() - run);
+}
+
+void EscapeHtmlInPlace(std::string* s, size_t pos) {
+  size_t grow = 0;
+  for (size_t i = pos; i < s->size(); ++i) {
+    const std::string_view ref = EscapeFor((*s)[i]);
+    if (!ref.empty()) grow += ref.size() - 1;
+  }
+  if (grow == 0) return;
+  // Expand back to front, so every byte is read before it is overwritten.
+  size_t r = s->size();
+  size_t w = r + grow;
+  s->resize(w);
+  char* d = s->data();
+  while (r > pos) {
+    const char c = d[--r];
+    const std::string_view ref = EscapeFor(c);
+    if (ref.empty()) {
+      d[--w] = c;
+    } else {
+      w -= ref.size();
+      std::memcpy(d + w, ref.data(), ref.size());
     }
   }
 }

@@ -33,6 +33,12 @@ std::string EscapeHtml(std::string_view s);
 /// generation.
 void EscapeHtmlInto(std::string_view s, std::string* out);
 
+/// Escapes the bytes of *s from `pos` on, in place: *s becomes its first
+/// `pos` bytes followed by EscapeHtml of the rest. Lets a renderer write
+/// text straight into its page buffer and escape it there. Allocates only
+/// if *s must grow.
+void EscapeHtmlInPlace(std::string* s, size_t pos);
+
 }  // namespace html
 }  // namespace wsd
 

@@ -1,6 +1,8 @@
 #include "text/review_lm.h"
 
 #include <array>
+#include <cstring>
+#include <initializer_list>
 #include <string_view>
 
 #include "text/tokenizer.h"
@@ -41,78 +43,128 @@ std::string_view Pick(Rng& rng, const std::array<std::string_view, N>& arr) {
   return arr[rng.Index(N)];
 }
 
-std::string ReviewSentence(Rng& rng, const std::string& subject) {
-  switch (rng.Uniform(6)) {
-    case 0:
-      return StrFormat("I %s %s and the %s was absolutely %s.",
-                       std::string(Pick(rng, kVisitWords)).c_str(),
-                       std::string(Pick(rng, kTimeWords)).c_str(),
-                       std::string(Pick(rng, kAspects)).c_str(),
-                       std::string(Pick(rng, kPositive)).c_str());
-    case 1:
-      return StrFormat("The %s at %s is %s but the %s felt %s.",
-                       std::string(Pick(rng, kAspects)).c_str(),
-                       subject.c_str(),
-                       std::string(Pick(rng, kPositive)).c_str(),
-                       std::string(Pick(rng, kAspects)).c_str(),
-                       std::string(Pick(rng, kNegative)).c_str());
-    case 2:
-      return StrFormat("Would definitely recommend this place, %llu stars "
-                       "from me for the %s %s.",
-                       (unsigned long long)(3 + rng.Uniform(3)),
-                       std::string(Pick(rng, kPositive)).c_str(),
-                       std::string(Pick(rng, kAspects)).c_str());
-    case 3:
-      return StrFormat("Honestly the %s was %s and we waited far too long; "
-                       "probably not coming back.",
-                       std::string(Pick(rng, kAspects)).c_str(),
-                       std::string(Pick(rng, kNegative)).c_str());
-    case 4:
-      return StrFormat("My review: %s exceeded expectations, %s %s and a "
-                       "%s atmosphere.",
-                       subject.c_str(),
-                       std::string(Pick(rng, kPositive)).c_str(),
-                       std::string(Pick(rng, kAspects)).c_str(),
-                       std::string(Pick(rng, kPositive)).c_str());
-    default:
-      return StrFormat("We %s %s; the %s was %s and our server was %s.",
-                       std::string(Pick(rng, kVisitWords)).c_str(),
-                       std::string(Pick(rng, kTimeWords)).c_str(),
-                       std::string(Pick(rng, kAspects)).c_str(),
-                       std::string(Pick(rng, kPositive)).c_str(),
-                       std::string(Pick(rng, kPositive)).c_str());
+// Appends the concatenation of `parts` with one resize.
+void AppendParts(std::string* out,
+                 std::initializer_list<std::string_view> parts) {
+  size_t size = 0;
+  for (const std::string_view part : parts) size += part.size();
+  const size_t at = out->size();
+  out->resize(at + size);
+  char* dst = out->data() + at;
+  for (const std::string_view part : parts) {
+    std::memcpy(dst, part.data(), part.size());
+    dst += part.size();
   }
 }
 
-std::string BoilerplateSentence(Rng& rng, const std::string& subject) {
+// Each sentence draws its words in separate statements, in the order the
+// stream has always served them (a template's last slot first), so the
+// text does not depend on how a compiler orders the evaluation of call
+// arguments.
+void AppendReviewSentence(Rng& rng, std::string_view subject,
+                          std::string* out) {
+  switch (rng.Uniform(6)) {
+    case 0: {
+      const std::string_view positive = Pick(rng, kPositive);
+      const std::string_view aspect = Pick(rng, kAspects);
+      const std::string_view when = Pick(rng, kTimeWords);
+      const std::string_view visit = Pick(rng, kVisitWords);
+      AppendParts(out, {"I ", visit, " ", when, " and the ", aspect,
+                        " was absolutely ", positive, "."});
+      return;
+    }
+    case 1: {
+      const std::string_view negative = Pick(rng, kNegative);
+      const std::string_view second_aspect = Pick(rng, kAspects);
+      const std::string_view positive = Pick(rng, kPositive);
+      const std::string_view aspect = Pick(rng, kAspects);
+      AppendParts(out, {"The ", aspect, " at ", subject, " is ", positive,
+                        " but the ", second_aspect, " felt ", negative, "."});
+      return;
+    }
+    case 2: {
+      const std::string_view aspect = Pick(rng, kAspects);
+      const std::string_view positive = Pick(rng, kPositive);
+      const uint64_t stars = 3 + rng.Uniform(3);
+      out->append("Would definitely recommend this place, ");
+      AppendZeroPadded(out, stars, 1);
+      AppendParts(out, {" stars from me for the ", positive, " ", aspect,
+                        "."});
+      return;
+    }
+    case 3: {
+      const std::string_view negative = Pick(rng, kNegative);
+      const std::string_view aspect = Pick(rng, kAspects);
+      AppendParts(out, {"Honestly the ", aspect, " was ", negative,
+                        " and we waited far too long; probably not coming "
+                        "back."});
+      return;
+    }
+    case 4: {
+      const std::string_view atmosphere = Pick(rng, kPositive);
+      const std::string_view aspect = Pick(rng, kAspects);
+      const std::string_view positive = Pick(rng, kPositive);
+      AppendParts(out, {"My review: ", subject, " exceeded expectations, ",
+                        positive, " ", aspect, " and a ", atmosphere,
+                        " atmosphere."});
+      return;
+    }
+    default: {
+      const std::string_view server = Pick(rng, kPositive);
+      const std::string_view positive = Pick(rng, kPositive);
+      const std::string_view aspect = Pick(rng, kAspects);
+      const std::string_view when = Pick(rng, kTimeWords);
+      const std::string_view visit = Pick(rng, kVisitWords);
+      AppendParts(out, {"We ", visit, " ", when, "; the ", aspect, " was ",
+                        positive, " and our server was ", server, "."});
+      return;
+    }
+  }
+}
+
+void AppendBoilerplateSentence(Rng& rng, std::string_view subject,
+                               std::string* out) {
   switch (rng.Uniform(6)) {
     case 0:
-      return StrFormat("Find hours, directions and contact information "
-                       "for %s.",
-                       subject.c_str());
-    case 1:
-      return StrFormat("%s is listed under %s in our local business "
-                       "directory.",
-                       subject.c_str(),
-                       std::string(Pick(rng, kBoilerCategories)).c_str());
-    case 2:
-      return StrFormat("Open Monday through Saturday from %llu am to "
-                       "%llu pm; holiday hours may vary.",
-                       (unsigned long long)(7 + rng.Uniform(4)),
-                       (unsigned long long)(5 + rng.Uniform(5)));
-    case 3:
-      return StrFormat("Browse nearby %s, get a map, or claim this "
-                       "listing to update business details.",
-                       std::string(Pick(rng, kBoilerCategories)).c_str());
-    case 4:
-      return StrFormat("Categories: %s, %s, and more local listings "
-                       "updated daily.",
-                       std::string(Pick(rng, kBoilerCategories)).c_str(),
-                       std::string(Pick(rng, kBoilerCategories)).c_str());
+      AppendParts(out, {"Find hours, directions and contact information "
+                        "for ",
+                        subject, "."});
+      return;
+    case 1: {
+      const std::string_view category = Pick(rng, kBoilerCategories);
+      AppendParts(out, {subject, " is listed under ", category,
+                        " in our local business directory."});
+      return;
+    }
+    case 2: {
+      const uint64_t closes = 5 + rng.Uniform(5);
+      const uint64_t opens = 7 + rng.Uniform(4);
+      out->append("Open Monday through Saturday from ");
+      AppendZeroPadded(out, opens, 1);
+      out->append(" am to ");
+      AppendZeroPadded(out, closes, 1);
+      out->append(" pm; holiday hours may vary.");
+      return;
+    }
+    case 3: {
+      const std::string_view category = Pick(rng, kBoilerCategories);
+      AppendParts(out, {"Browse nearby ", category,
+                        ", get a map, or claim this listing to update "
+                        "business details."});
+      return;
+    }
+    case 4: {
+      const std::string_view second = Pick(rng, kBoilerCategories);
+      const std::string_view first = Pick(rng, kBoilerCategories);
+      AppendParts(out, {"Categories: ", first, ", ", second,
+                        ", and more local listings updated daily."});
+      return;
+    }
     default:
-      return StrFormat("Contact %s for reservations, directions, parking "
-                       "information and accessibility details.",
-                       subject.c_str());
+      AppendParts(out, {"Contact ", subject,
+                        " for reservations, directions, parking "
+                        "information and accessibility details."});
+      return;
   }
 }
 
@@ -135,7 +187,7 @@ void GenerateReviewTextInto(Rng& rng, const std::string& subject,
   const uint64_t sentences = 1 + rng.Uniform(5);
   for (uint64_t i = 0; i < sentences; ++i) {
     if (i > 0) out->push_back(' ');
-    out->append(ReviewSentence(rng, subject));
+    AppendReviewSentence(rng, subject, out);
   }
 }
 
@@ -144,7 +196,7 @@ void GenerateBoilerplateTextInto(Rng& rng, const std::string& subject,
   const uint64_t sentences = 1 + rng.Uniform(4);
   for (uint64_t i = 0; i < sentences; ++i) {
     if (i > 0) out->push_back(' ');
-    out->append(BoilerplateSentence(rng, subject));
+    AppendBoilerplateSentence(rng, subject, out);
   }
 }
 

@@ -9,13 +9,26 @@ namespace text {
 
 namespace {
 
-bool IsWordChar(char c) { return IsAlnum(c) || c == '\''; }
+constexpr bool IsWordChar(char c) { return IsAlnum(c) || c == '\''; }
 
-constexpr std::array<std::string_view, 36> kStopwords = {
-    "the", "a",    "an",  "and", "or",   "of",  "to",   "in",  "on",
-    "at",  "for",  "is",  "are", "was",  "were", "be",  "been", "it",
-    "its", "this", "that", "with", "as",  "by",  "from", "but", "not",
-    "we",  "i",    "you", "they", "he",  "she",  "my",  "our", "their"};
+// Per byte: word character (letter, digit or apostrophe), letter, and the
+// ASCII lower-case form. One lookup replaces three range tests per byte.
+struct ByteClass {
+  bool word = false;
+  bool alpha = false;
+  char lower = 0;
+};
+
+constexpr std::array<ByteClass, 256> MakeByteClasses() {
+  std::array<ByteClass, 256> table{};
+  for (int b = 0; b < 256; ++b) {
+    const char c = static_cast<char>(b);
+    table[b] = {IsWordChar(c), IsAlpha(c), ToLowerChar(c)};
+  }
+  return table;
+}
+
+constexpr std::array<ByteClass, 256> kByteClasses = MakeByteClasses();
 
 }  // namespace
 
@@ -44,11 +57,77 @@ std::vector<std::string> Tokenize(std::string_view text) {
   return tokens;
 }
 
-bool IsStopword(std::string_view word) {
-  for (std::string_view s : kStopwords) {
-    if (word == s) return true;
+// The 36 stopwords, dispatched on length and first letter: "a" "i"; "an"
+// "as" "at" "be" "by" "he" "in" "is" "it" "my" "of" "on" "or" "to" "we";
+// "and" "are" "but" "for" "its" "not" "our" "she" "the" "was" "you";
+// "been" "from" "that" "they" "this" "were" "with"; "their".
+bool IsStopword(std::string_view w) {
+  switch (w.size()) {
+    case 1:
+      return w[0] == 'a' || w[0] == 'i';
+    case 2:
+      switch (w[0]) {
+        case 'a':
+          return w[1] == 'n' || w[1] == 's' || w[1] == 't';
+        case 'b':
+          return w[1] == 'e' || w[1] == 'y';
+        case 'h':
+        case 'w':
+          return w[1] == 'e';
+        case 'i':
+          return w[1] == 'n' || w[1] == 's' || w[1] == 't';
+        case 'm':
+          return w[1] == 'y';
+        case 'o':
+          return w[1] == 'f' || w[1] == 'n' || w[1] == 'r';
+        case 't':
+          return w[1] == 'o';
+        default:
+          return false;
+      }
+    case 3:
+      switch (w[0]) {
+        case 'a':
+          return w == "and" || w == "are";
+        case 'b':
+          return w == "but";
+        case 'f':
+          return w == "for";
+        case 'i':
+          return w == "its";
+        case 'n':
+          return w == "not";
+        case 'o':
+          return w == "our";
+        case 's':
+          return w == "she";
+        case 't':
+          return w == "the";
+        case 'w':
+          return w == "was";
+        case 'y':
+          return w == "you";
+        default:
+          return false;
+      }
+    case 4:
+      switch (w[0]) {
+        case 'b':
+          return w == "been";
+        case 'f':
+          return w == "from";
+        case 't':
+          return w == "that" || w == "they" || w == "this";
+        case 'w':
+          return w == "were" || w == "with";
+        default:
+          return false;
+      }
+    case 5:
+      return w == "their";
+    default:
+      return false;
   }
-  return false;
 }
 
 std::vector<std::string> TokenizeForClassification(std::string_view text) {
@@ -63,19 +142,21 @@ std::vector<std::string> TokenizeForClassification(std::string_view text) {
 
 void TokenizeForClassificationInPlace(std::string* text,
                                       std::vector<std::string_view>* out) {
-  std::string& s = *text;
+  char* s = text->data();
+  const size_t n = text->size();
   size_t i = 0;
-  while (i < s.size()) {
-    if (!IsWordChar(s[i])) {
+  while (i < n) {
+    if (!kByteClasses[static_cast<unsigned char>(s[i])].word) {
       ++i;
       continue;
     }
     const size_t start = i;
     bool has_alpha = false;
-    while (i < s.size() && IsWordChar(s[i])) {
-      if (IsAlpha(s[i])) has_alpha = true;
-      s[i] = ToLowerChar(s[i]);
-      ++i;
+    for (; i < n; ++i) {
+      const ByteClass& c = kByteClasses[static_cast<unsigned char>(s[i])];
+      if (!c.word) break;
+      has_alpha |= c.alpha;
+      s[i] = c.lower;
     }
     if (!has_alpha) continue;  // drop pure-digit runs
     // Strip leading/trailing apostrophes ('tis, dogs').
@@ -83,7 +164,7 @@ void TokenizeForClassificationInPlace(std::string* text,
     while (b < e && s[b] == '\'') ++b;
     while (e > b && s[e - 1] == '\'') --e;
     if (e == b) continue;
-    const std::string_view tok(s.data() + b, e - b);
+    const std::string_view tok(s + b, e - b);
     if (!IsStopword(tok)) out->push_back(tok);
   }
 }

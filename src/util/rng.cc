@@ -123,9 +123,10 @@ double Rng::LogNormal(double mu, double sigma) {
 
 Rng Rng::Fork() {
   // Two draws feed SplitMix64 to seed the child; keeps parent and child
-  // streams decorrelated.
-  uint64_t seed = Next() ^ Rotl(Next(), 31);
-  return Rng(seed);
+  // streams decorrelated. One draw per statement fixes their order.
+  const uint64_t first = Next();
+  const uint64_t second = Next();
+  return Rng(first ^ Rotl(second, 31));
 }
 
 std::vector<uint64_t> SampleWithoutReplacement(Rng& rng, uint64_t n,

@@ -47,16 +47,16 @@ std::string ReplaceAll(std::string_view s, std::string_view from,
 
 /// True if `c` is an ASCII decimal digit. (std::isdigit has UB for
 /// negative chars; these helpers are branch-cheap and safe.)
-inline bool IsDigit(char c) { return c >= '0' && c <= '9'; }
-inline bool IsAlpha(char c) {
+constexpr bool IsDigit(char c) { return c >= '0' && c <= '9'; }
+constexpr bool IsAlpha(char c) {
   return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z');
 }
-inline bool IsAlnum(char c) { return IsDigit(c) || IsAlpha(c); }
+constexpr bool IsAlnum(char c) { return IsDigit(c) || IsAlpha(c); }
 inline bool IsSpace(char c) {
   return c == ' ' || c == '\t' || c == '\n' || c == '\r' || c == '\f' ||
          c == '\v';
 }
-inline char ToLowerChar(char c) {
+constexpr char ToLowerChar(char c) {
   return (c >= 'A' && c <= 'Z') ? static_cast<char>(c - 'A' + 'a') : c;
 }
 
@@ -66,7 +66,7 @@ std::string StrFormat(const char* fmt, ...)
 
 /// printf-style formatting appended to *out. Formats into a stack buffer
 /// first, so appends that fit existing capacity perform no heap
-/// allocation — the variant the zero-allocation page renderer uses.
+/// allocation.
 void AppendFormat(std::string* out, const char* fmt, ...)
     __attribute__((format(printf, 2, 3)));
 

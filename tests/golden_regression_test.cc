@@ -6,7 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/study.h"
+#include "entity/name_gen.h"
+#include "text/review_lm.h"
+#include "util/hash.h"
 
 namespace wsd {
 namespace {
@@ -38,18 +43,10 @@ TEST(GoldenRegressionTest, PhoneScanFingerprint) {
   const uint32_t top2 = scan->table.host_entity_count(order[2]);
   // Exact values for this seed; see file comment before updating.
   const uint64_t edges = scan->table.TotalEdges();
-  static bool printed = false;
-  if (!printed) {
-    printed = true;
-    RecordProperty("edges", static_cast<int>(edges));
-    RecordProperty("top0", static_cast<int>(top0));
-  }
-  EXPECT_GT(top0, top1);
-  EXPECT_GE(top1, top2);
-  // The pinned fingerprint: stable across platforms because every source
-  // of randomness is an explicit xoshiro stream.
-  const uint64_t expected_edges = edges;  // self-check placeholder
-  EXPECT_EQ(edges, expected_edges);
+  EXPECT_EQ(edges, 31490u);
+  EXPECT_EQ(top0, 790u);
+  EXPECT_EQ(top1, 646u);
+  EXPECT_EQ(top2, 538u);
 
   // Determinism across two independently constructed studies.
   Study study2(GoldenOptions());
@@ -107,6 +104,62 @@ TEST(GoldenRegressionTest, ValueStudyBitStable) {
     EXPECT_DOUBLE_EQ(ra->bins[i].rel_va_search,
                      rb->bins[i].rel_va_search);
   }
+}
+
+// XXH64 over every page URL and HTML byte one channel renders at the
+// golden options, chained page by page in render order.
+uint64_t RenderedCorpusHash(Domain domain, Attribute attr) {
+  const Study study(GoldenOptions());
+  auto web = study.BuildWeb(domain, attr);
+  EXPECT_TRUE(web.ok());
+  if (!web.ok()) return 0;
+  uint64_t h = 0;
+  Page scratch;
+  for (SiteId s = 0; s < web->num_hosts(); ++s) {
+    web->GeneratePages(s, &scratch, [&](const Page& page, const PageTruth&) {
+      h = XxHash64(page.url, h);
+      h = XxHash64(page.html, h);
+    });
+  }
+  return h;
+}
+
+// Pins the rendered bytes themselves, not just what a scan extracts from
+// them: a renderer rewrite must reproduce every byte, and a toolchain that
+// orders RNG draws differently would fail here first (tools/wsd_lint.py's
+// rng-sequencing rule keeps every draw in its own statement so none can).
+// Recorded with GCC 12.2 on x86-64.
+TEST(GoldenRegressionTest, RenderedCorpusIsPinned) {
+  EXPECT_EQ(RenderedCorpusHash(Domain::kBooks, Attribute::kIsbn),
+            10114507763964407926ULL);
+  EXPECT_EQ(RenderedCorpusHash(Domain::kRestaurants, Attribute::kPhone),
+            17928560860339301670ULL);
+  EXPECT_EQ(RenderedCorpusHash(Domain::kRestaurants, Attribute::kHomepage),
+            8378282450206041769ULL);
+  EXPECT_EQ(RenderedCorpusHash(Domain::kRestaurants, Attribute::kReviews),
+            11853539977578087394ULL);
+  EXPECT_EQ(RenderedCorpusHash(Domain::kRestaurants, Attribute::kMicrodata),
+            12402511033241374903ULL);
+
+  // The text generators, one fresh stream per seed.
+  uint64_t names = 0, cities = 0, people = 0, reviews = 0, boiler = 0;
+  for (uint64_t seed = 0; seed < 2000; ++seed) {
+    Rng rng(seed);
+    for (int kind = 0; kind <= static_cast<int>(NameKind::kBook); ++kind) {
+      names = XxHash64(GenerateName(rng, static_cast<NameKind>(kind)), names);
+    }
+    cities = XxHash64(GenerateCity(rng), cities);
+    people = XxHash64(GeneratePersonName(rng), people);
+    reviews = XxHash64(text::GenerateReviewText(rng, "Golden Harbor Bistro"),
+                       reviews);
+    boiler = XxHash64(
+        text::GenerateBoilerplateText(rng, "Golden Harbor Bistro"), boiler);
+  }
+  EXPECT_EQ(names, 7604251103172369094ULL);
+  EXPECT_EQ(cities, 3113653057205739248ULL);
+  EXPECT_EQ(people, 10868450271219624710ULL);
+  EXPECT_EQ(reviews, 3128579542307904986ULL);
+  EXPECT_EQ(boiler, 17467323959132000767ULL);
 }
 
 }  // namespace

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <string_view>
+
 #include "html/char_ref.h"
 #include "html/text_extract.h"
 #include "html/tokenizer.h"
+#include "util/rng.h"
 
 namespace wsd {
 namespace html {
@@ -40,6 +43,73 @@ TEST(CharRefTest, InvalidCodePointsBecomeReplacement) {
 TEST(CharRefTest, EscapeRoundTrip) {
   const std::string original = "a<b & \"c\" 'd'>";
   EXPECT_EQ(DecodeCharRefs(EscapeHtml(original)), original);
+}
+
+// Per-byte reference for the run-appending EscapeHtmlInto.
+std::string ReferenceEscape(std::string_view s) {
+  std::string out;
+  for (const char c : s) {
+    switch (c) {
+      case '&':
+        out += "&amp;";
+        break;
+      case '<':
+        out += "&lt;";
+        break;
+      case '>':
+        out += "&gt;";
+        break;
+      case '"':
+        out += "&quot;";
+        break;
+      case '\'':
+        out += "&#39;";
+        break;
+      default:
+        out += c;
+    }
+  }
+  return out;
+}
+
+// Both escapers on `s` must equal the reference: EscapeHtmlInto appending
+// to a non-empty buffer, and EscapeHtmlInPlace on a buffer holding `s`
+// after a prefix it must leave alone.
+void ExpectEscapesMatchReference(std::string_view s) {
+  const std::string expected = "<p>" + ReferenceEscape(s);
+  std::string appended = "<p>";
+  EscapeHtmlInto(s, &appended);
+  EXPECT_EQ(appended, expected);
+  std::string in_place = "<p>" + std::string(s);
+  EscapeHtmlInPlace(&in_place, 3);
+  EXPECT_EQ(in_place, expected);
+}
+
+TEST(CharRefTest, EscapeMatchesReferenceOnEverySingleByte) {
+  for (int b = 0; b < 256; ++b) {
+    SCOPED_TRACE(::testing::Message() << "byte " << b);
+    ExpectEscapesMatchReference(std::string(1, static_cast<char>(b)));
+  }
+}
+
+TEST(CharRefTest, EscapeMatchesReferenceOnRandomStrings) {
+  // Special bytes dense enough to sit at both ends and in runs, among
+  // arbitrary bytes.
+  constexpr std::string_view kSpecial = "&<>\"'";
+  Rng rng(77);
+  for (int iter = 0; iter < 5000; ++iter) {
+    std::string s(rng.Uniform(40), '\0');
+    for (char& c : s) {
+      c = rng.Bernoulli(0.3) ? kSpecial[rng.Index(kSpecial.size())]
+                             : static_cast<char>(rng.Uniform(256));
+    }
+    if (iter % 2 == 0) {
+      s = kSpecial[rng.Index(kSpecial.size())] + s;
+      s += kSpecial[rng.Index(kSpecial.size())];
+    }
+    SCOPED_TRACE(::testing::Message() << "iteration " << iter);
+    ExpectEscapesMatchReference(s);
+  }
 }
 
 // ---------- tokenizer ----------

@@ -49,6 +49,20 @@ TEST(PhoneTest, FormatVariants) {
   EXPECT_EQ(p.Format(PhoneFormat::kBare), "4155550134");
 }
 
+TEST(PhoneTest, FormatIntoAppendsToNonEmptyBuffer) {
+  const Phone p("4155550134");
+  std::string out = " &middot; Call ";
+  for (int f = 0; f < static_cast<int>(PhoneFormat::kNumFormats); ++f) {
+    const auto format = static_cast<PhoneFormat>(f);
+    const std::string before = out;
+    p.FormatInto(format, &out);
+    EXPECT_EQ(out, before + p.Format(format));
+  }
+  EXPECT_EQ(out,
+            " &middot; Call (415) 555-0134415-555-0134415.555.0134"
+            "415 555 0134+1-415-555-01344155550134");
+}
+
 TEST(PhoneTest, FromIndexAlwaysValid) {
   Rng rng(7);
   for (int i = 0; i < 5000; ++i) {

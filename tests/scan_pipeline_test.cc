@@ -374,22 +374,31 @@ TEST_P(SteadyStateAllocationTest, RescanAllocatesNothing) {
   // watermark, scanning a host performs zero heap allocations. Warm up
   // by scanning every host once (capacities climb to the corpus-wide
   // maximum), then rescan with the allocation counter armed.
-  const SyntheticWeb web = MakeWeb(GetParam(), 200, 100);
-  const EntityMatcher matcher(web.catalog(), GetParam());
+  // The reviews channel renders prose and runs the classifier too.
+  const Attribute attr = GetParam();
+  const SyntheticWeb web = MakeWeb(attr, 200, 100);
+  const EntityMatcher matcher(web.catalog(), attr);
+  std::optional<ReviewDetector> detector;
+  if (attr == Attribute::kReviews) {
+    auto built = ReviewDetector::CreateDefault(99);
+    ASSERT_TRUE(built.ok());
+    detector.emplace(std::move(built).value());
+  }
+  const ReviewDetector* det = detector ? &*detector : nullptr;
   ScanScratch scratch;
   HostRecord rec;
   uint64_t mentions = 0, reviews = 0;
   for (SiteId s = 0; s < web.num_hosts(); ++s) {
-    ScanHostPages(web, s, matcher, nullptr, &scratch, &rec, &mentions,
-                  &reviews);
+    ScanHostPages(web, s, matcher, det, &scratch, &rec, &mentions, &reviews);
   }
   ASSERT_GT(mentions, 0u);
+  if (det != nullptr) ASSERT_GT(reviews, 0u);
 
   uint64_t allocs = 0;
   {
     const AllocCountGuard guard;
     for (SiteId s = 0; s < web.num_hosts(); ++s) {
-      ScanHostPages(web, s, matcher, nullptr, &scratch, &rec, &mentions,
+      ScanHostPages(web, s, matcher, det, &scratch, &rec, &mentions,
                     &reviews);
     }
     allocs = g_alloc_count;
@@ -402,6 +411,9 @@ INSTANTIATE_TEST_SUITE_P(IdentifierAttributes, SteadyStateAllocationTest,
                                            Attribute::kHomepage,
                                            Attribute::kIsbn,
                                            Attribute::kMicrodata));
+
+INSTANTIATE_TEST_SUITE_P(ReviewChannel, SteadyStateAllocationTest,
+                         ::testing::Values(Attribute::kReviews));
 
 // The frozen legacy oracle predates the microdata channel and refuses
 // it, so thread-count equivalence for microdata uses the 1-thread scan

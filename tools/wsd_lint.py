@@ -56,6 +56,13 @@ Rules (ids in brackets, each documented in docs/STATIC_ANALYSIS.md):
                         PT_GUARDED_BY annotation. Deliberately unguarded
                         fields must say why in an immediately preceding
                         `// unguarded: <reason>` comment.
+  [rng-sequencing]      A statement in library code that draws from an
+                        Rng more than once: calls on the Rng, or the Rng
+                        passed to a picker, sampler or helper. C++ leaves
+                        the order of such draws to the compiler, so the
+                        corpus would differ between toolchains. The two
+                        arms of a conditional expression count as one
+                        draw. Draw into named locals, one per statement.
 
 Usage:
   tools/wsd_lint.py [--root REPO] [--update-frozen] [--self-test] [-q]
@@ -576,6 +583,127 @@ def check_guarded_fields(root: str, findings):
 
 
 # --------------------------------------------------------------------------
+# Rule: rng-sequencing
+# --------------------------------------------------------------------------
+
+# An Rng variable or parameter: `Rng rng(seed)`, `Rng& rng`, `Rng* rng_`.
+# Lower-case names only, so `Rng Fork()` and `Rng Rng::Fork()` (functions)
+# are not taken for variables.
+RNG_VAR_RE = re.compile(r"(?<![\w:])(?:wsd::)?Rng\s*[&*]?\s*([a-z_]\w*)\b")
+# Inside the Rng implementation, its members draw through unqualified calls.
+RNG_IMPL_FILES = {os.path.join("src", "util", "rng.h"),
+                  os.path.join("src", "util", "rng.cc")}
+RNG_MEMBER_CALL_RE = re.compile(
+    r"(?<![\w.:>])(?:Next|NextDouble|Uniform|UniformInt|Bernoulli|Normal|"
+    r"Exponential|Poisson|Pareto|LogNormal|Fork|Shuffle|Index)\s*\(")
+
+
+def rng_draw_positions(stmt: str, names, impl: bool):
+    """Offsets in `stmt` of each draw: a call on a named Rng, the Rng
+    passed as a call argument, or (in the Rng implementation) an
+    unqualified member call."""
+    positions = []
+    for name in names:
+        n = re.escape(name)
+        positions += [m.start() for m in re.finditer(
+            rf"(?<![\w.>]){n}\s*(?:\.|->)\s*[A-Za-z_]\w*\s*\(", stmt)]
+        positions += [m.start(1) for m in re.finditer(
+            rf"[(,]\s*[&*]?\s*({n})\s*[,)]", stmt)]
+    if impl:
+        positions += [m.start() for m in RNG_MEMBER_CALL_RE.finditer(stmt)]
+    return sorted(positions)
+
+
+def conditional_spans(stmt: str):
+    """(question, colon, end) for each conditional expression in `stmt`:
+    the else arm runs to the first `,` `;` or unmatched closing bracket at
+    its own depth."""
+    spans = []
+    for q, c in enumerate(stmt):
+        if c != "?":
+            continue
+        depth, nested, colon = 0, 0, -1
+        i = q + 1
+        while i < len(stmt):
+            ch = stmt[i]
+            if ch in "([{":
+                depth += 1
+            elif ch in ")]}":
+                depth -= 1
+                if depth < 0:
+                    break
+            elif depth == 0 and ch == "?":
+                nested += 1
+            elif depth == 0 and ch == ":":
+                if stmt[i + 1:i + 2] == ":" or stmt[i - 1] == ":":
+                    pass  # scope operator
+                elif nested == 0:
+                    colon = i
+                    break
+                else:
+                    nested -= 1
+            i += 1
+        if colon == -1:
+            continue
+        depth, end = 0, len(stmt)
+        for i in range(colon + 1, len(stmt)):
+            ch = stmt[i]
+            if ch in "([{":
+                depth += 1
+            elif ch in ")]}":
+                depth -= 1
+                if depth < 0:
+                    end = i
+                    break
+            elif depth == 0 and ch in ",;":
+                end = i
+                break
+        spans.append((q, colon, end))
+    return spans
+
+
+def count_rng_draws(lo: int, hi: int, draws, spans) -> int:
+    """Draws in stmt[lo:hi], each conditional expression counting as the
+    larger of its two arms."""
+    total, i = 0, lo
+    for q, colon, end in spans:
+        if q < i or q >= hi:
+            continue
+        total += sum(1 for p in draws if i <= p < q)
+        total += max(count_rng_draws(q + 1, colon, draws, spans),
+                     count_rng_draws(colon + 1, end, draws, spans))
+        i = end
+    return total + sum(1 for p in draws if i <= p < hi)
+
+
+def check_rng_sequencing(root: str, findings):
+    for rel in iter_files(root, LIBRARY_DIRS, (".h", ".cc")):
+        text = strip_code(read(root, rel))
+        names = set(RNG_VAR_RE.findall(text))
+        impl = rel in RNG_IMPL_FILES
+        if not names and not impl:
+            continue
+        start = 0
+        for m in re.finditer(r"[;{}]|$", text):
+            stmt = text[start:m.start()]
+            stmt_start = start
+            start = m.end()
+            draws = rng_draw_positions(stmt, names, impl)
+            if len(draws) < 2:
+                continue
+            count = count_rng_draws(0, len(stmt), draws,
+                                    conditional_spans(stmt))
+            if count < 2:
+                continue
+            findings.append(Finding(
+                rel, line_of(text, stmt_start + draws[0]), "rng-sequencing",
+                f"statement draws from an Rng {count} times; C++ leaves the "
+                "order of these draws to the compiler, so the output would "
+                "differ between toolchains — draw into named locals, one "
+                "per statement"))
+
+
+# --------------------------------------------------------------------------
 # Rule: frozen-oracle
 # --------------------------------------------------------------------------
 
@@ -673,6 +801,7 @@ def run_lint(root: str, update_frozen: bool = False):
     check_attr_switch(root, findings)
     check_raw_concurrency(root, findings)
     check_guarded_fields(root, findings)
+    check_rng_sequencing(root, findings)
     check_frozen(root, findings, update_frozen)
     findings.sort(key=lambda f: (f.path, f.line, f.rule))
     return findings
@@ -747,6 +876,17 @@ class Tally {
 };
 }  // namespace wsd
 #endif  // WSD_UTIL_BAD_GUARDED_H_
+"""),
+    "rng-sequencing": ("src/corpus/bad_rng_order.cc", """
+#include "util/rng.h"
+namespace wsd {
+int Pick(Rng& rng, int n) { return static_cast<int>(rng.Uniform(n)); }
+int Draws(Rng& rng, bool small) {
+  // One draw per arm of a conditional is fine; two operands are not.
+  const int one = small ? Pick(rng, 3) : Pick(rng, 4);
+  return one + Pick(rng, 10) * 10 + Pick(rng, 10);
+}
+}  // namespace wsd
 """),
     "frozen-oracle": ("src/util/bad_frozen.cc", """
 // WSD_FROZEN_BEGIN(self_test_region)
