@@ -1,12 +1,12 @@
 // Fuzzes the binary snapshot loader — the one surface that parses
 // attacker-controllable bytes from disk (a shared artifact directory is
-// only as trustworthy as its slowest rsync). ParseSnapshotFull must fail
+// only as trustworthy as its slowest rsync). ParseSnapshot must fail
 // closed on anything malformed: no crash, no overflow, no partial table.
-// For inputs that do parse, serialize-then-reparse must be value-stable
-// and the re-encoded bytes must be a fixed point of the encoder — for
-// the aligned (v2) format, the fixed point is the input itself (the
-// decoder rejects every non-canonical encoding: nonzero padding, flags,
-// or size slack).
+// The encoding is canonical (the decoder rejects nonzero padding, flags,
+// size slack and a version word other than the one the attribute is
+// written with), so every accepted input must re-encode to itself byte
+// for byte. The encoder only writes versions 2 and 3, so that also means
+// the retired v1 seeds kept in the corpus must be rejected.
 
 #include <string>
 #include <string_view>
@@ -18,43 +18,11 @@
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   std::string_view bytes(reinterpret_cast<const char*>(data), size);
 
-  auto parsed = wsd::ParseSnapshotFull(bytes);
+  auto parsed = wsd::ParseSnapshot(bytes);
   if (!parsed.ok()) return 0;  // rejected cleanly — that is the contract
 
-  if (parsed->meta.has_value()) {
-    // Aligned (v2) snapshot. The encoding is canonical, so re-encoding
-    // the parsed value must reproduce the input bit for bit.
-    auto reencoded =
-        wsd::SerializeSnapshotAligned(parsed->result, *parsed->meta);
-    WSD_FUZZ_ASSERT(reencoded.ok());
-    WSD_FUZZ_ASSERT(*reencoded == bytes);
-    return 0;
-  }
-
-  // Compact (v1) snapshot. Accepted inputs must satisfy the table
-  // invariants the serializer enforces (sorted entity ids, no invalid
-  // ids), so re-serializing a parsed snapshot can never fail.
-  auto reencoded = wsd::SerializeSnapshot(parsed->result);
+  auto reencoded = wsd::SerializeSnapshotAligned(parsed->result, parsed->meta);
   WSD_FUZZ_ASSERT(reencoded.ok());
-
-  // The encoder emits minimal varints, so a re-encoding never grows, and
-  // a second encode of the reparsed value is a byte-level fixed point.
-  WSD_FUZZ_ASSERT(reencoded->size() <= bytes.size());
-  auto reparsed = wsd::ParseSnapshot(*reencoded);
-  WSD_FUZZ_ASSERT(reparsed.ok());
-  auto reencoded2 = wsd::SerializeSnapshot(*reparsed);
-  WSD_FUZZ_ASSERT(reencoded2.ok() && *reencoded2 == *reencoded);
-  WSD_FUZZ_ASSERT(reparsed->table.num_hosts() ==
-                  parsed->result.table.num_hosts());
-  WSD_FUZZ_ASSERT(reparsed->stats.pages_scanned ==
-                  parsed->result.stats.pages_scanned);
-  WSD_FUZZ_ASSERT(reparsed->stats.bytes_scanned ==
-                  parsed->result.stats.bytes_scanned);
-  for (size_t i = 0; i < parsed->result.table.num_hosts(); ++i) {
-    WSD_FUZZ_ASSERT(reparsed->table.host(i).host ==
-                    parsed->result.table.host(i).host);
-    WSD_FUZZ_ASSERT(reparsed->table.host(i).entities.size() ==
-                    parsed->result.table.host(i).entities.size());
-  }
+  WSD_FUZZ_ASSERT(*reencoded == bytes);
   return 0;
 }

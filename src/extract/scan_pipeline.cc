@@ -20,7 +20,7 @@ namespace {
 // Merges one completed scan into the global registry. Called once per
 // scan (never per page), so the inner extraction loop carries zero
 // instrumentation; ScanStats is the registry's per-run delta.
-void MirrorScanStats(const ScanStats& stats, Attribute attr) {
+void MirrorScanStats(const ScanStats& stats) {
   auto& reg = MetricsRegistry::Global();
   static Counter& hosts = reg.GetCounter("wsd.scan.hosts");
   static Counter& pages = reg.GetCounter("wsd.scan.pages");
@@ -29,8 +29,6 @@ void MirrorScanStats(const ScanStats& stats, Attribute attr) {
   static Counter& review_pages = reg.GetCounter("wsd.scan.review_pages");
   static Counter& skipped_urls = reg.GetCounter("wsd.scan.skipped_urls");
   static Counter& runs = reg.GetCounter("wsd.scan.runs");
-  static Gauge& pages_per_sec = reg.GetGauge("wsd.scan.pages_per_sec");
-  static Gauge& bytes_per_sec = reg.GetGauge("wsd.scan.bytes_per_sec");
   static LatencyHistogram& run_seconds =
       reg.GetHistogram("wsd.scan.run_seconds");
   runs.Increment();
@@ -40,18 +38,6 @@ void MirrorScanStats(const ScanStats& stats, Attribute attr) {
   mentions.Increment(stats.entity_mentions);
   review_pages.Increment(stats.review_pages);
   skipped_urls.Increment(stats.skipped_urls);
-  if (stats.wall_seconds > 0.0) {
-    const double pps =
-        static_cast<double>(stats.pages_scanned) / stats.wall_seconds;
-    pages_per_sec.Set(pps);
-    bytes_per_sec.Set(static_cast<double>(stats.bytes_scanned) /
-                      stats.wall_seconds);
-    // Per-attribute throughput, so a phone scan doesn't overwrite the
-    // last ISBN scan's reading (and vice versa).
-    reg.GetGauge(std::string("wsd.scan.pages_per_sec.") +
-                 std::string(AttributeName(attr)))
-        .Set(pps);
-  }
   run_seconds.Record(stats.wall_seconds);
 }
 
@@ -258,7 +244,7 @@ StatusOr<ScanResult> ScanPipeline::Run(const ShardSpec& shard) const {
   MetricsRegistry::Global()
       .GetGauge("wsd.scan.scratch_bytes")
       .Set(static_cast<double>(max_scratch_bytes.load()));
-  MirrorScanStats(result.stats, attr);
+  MirrorScanStats(result.stats);
   return result;
 }
 
@@ -350,7 +336,7 @@ StatusOr<ScanResult> ScanPipeline::RunLegacy() const {
   result.stats.review_pages = review_pages.load();
   result.table.PruneEmptyHosts();
   result.stats.wall_seconds = timer.ElapsedSeconds();
-  MirrorScanStats(result.stats, attr);
+  MirrorScanStats(result.stats);
   return result;
 }
 // WSD_FROZEN_END(scan_run_legacy)
@@ -423,7 +409,7 @@ StatusOr<ScanResult> ScanCacheFile(const std::string& path,
   MetricsRegistry::Global()
       .GetGauge("wsd.scan.scratch_bytes")
       .Set(static_cast<double>(scratch.MemoryFootprint()));
-  MirrorScanStats(result.stats, attr);
+  MirrorScanStats(result.stats);
   return result;
 }
 

@@ -110,11 +110,10 @@ StatusOr<ScanResult> ArtifactStore::Load(const ArtifactKey& key) const {
                       << "); falling back to live scan";
     return loaded.status();
   }
-  // An aligned snapshot names its own scan inputs; a file that does not
-  // match the key it sits under (copied, renamed, forged — including a
-  // merged shard installed under the wrong key) is corruption, not a
-  // hit. v1 artifacts carry no provenance to check.
-  if (loaded->meta.has_value() && !(*loaded->meta == key.Meta())) {
+  // A snapshot names its own scan inputs; a file that does not match the
+  // key it sits under (copied, renamed, forged — including a merged shard
+  // installed under the wrong key) is corruption, not a hit.
+  if (!(loaded->meta == key.Meta())) {
     verify_failures.Increment();
     WSD_LOG(kWarning) << "artifact " << path
                       << " provenance does not match its key; falling "

@@ -52,12 +52,12 @@ struct ArtifactKey {
 /// as a non-OK Status the caller answers with a live scan. Store failures
 /// are likewise advisory: the freshly scanned result is still in hand.
 ///
-/// Snapshots are written in the aligned (v2) format with provenance and
-/// loaded through the zero-copy mmap path (wsd.store.mmap_loads); v1
-/// artifacts from older builds still load via the buffered decoder. A
-/// loaded snapshot's provenance must match the requested key — a file
-/// whose content disagrees with its name (copied, renamed, forged) is a
-/// verify failure, not a hit.
+/// Snapshots are written in the aligned (v2/v3) format with provenance
+/// and loaded through the zero-copy mmap path (wsd.store.mmap_loads).
+/// Every loaded snapshot's provenance must match the requested key — a
+/// file whose content disagrees with its name (copied, renamed, forged)
+/// is a verify failure, not a hit, and so is a file in a format this
+/// build does not read (v1 included).
 ///
 /// Counters (docs/METRICS.md): wsd.artifact.hits / misses /
 /// verify_failures / read_bytes / write_bytes.

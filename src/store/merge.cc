@@ -1,9 +1,10 @@
 #include "store/merge.h"
 
 #include <algorithm>
+#include <string>
 #include <utility>
+#include <vector>
 
-#include "util/io_util.h"
 #include "util/metrics.h"
 
 namespace wsd {
@@ -53,18 +54,11 @@ StatusOr<ParsedSnapshot> MergeSnapshots(std::vector<ParsedSnapshot> shards) {
   if (shards.empty()) {
     return Status::InvalidArgument("merge requires at least one snapshot");
   }
-  for (const ParsedSnapshot& shard : shards) {
-    if (!shard.meta.has_value()) {
-      return Status::InvalidArgument(
-          "merge requires aligned (v2) snapshots carrying provenance; got "
-          "a v1 snapshot — re-emit it with `wsdctl scan`");
-    }
-  }
-  const SnapshotMeta& first = *shards.front().meta;
+  const SnapshotMeta& first = shards.front().meta;
   const uint32_t n = static_cast<uint32_t>(shards.size());
   std::vector<bool> seen_slot(n, false);
   for (const ParsedSnapshot& shard : shards) {
-    const SnapshotMeta& meta = *shard.meta;
+    const SnapshotMeta& meta = shard.meta;
     if (!SameScanProvenance(meta, first)) {
       return Status::InvalidArgument(
           "merge provenance mismatch: " + ShardLabel(meta) +
@@ -91,8 +85,8 @@ StatusOr<ParsedSnapshot> MergeSnapshots(std::vector<ParsedSnapshot> shards) {
 
   ParsedSnapshot merged;
   merged.meta = first;
-  merged.meta->shard_index = 0;
-  merged.meta->shard_count = 1;
+  merged.meta.shard_index = 0;
+  merged.meta.shard_count = 1;
 
   std::vector<HostRecord> hosts;
   size_t total_hosts = 0;
@@ -101,12 +95,12 @@ StatusOr<ParsedSnapshot> MergeSnapshots(std::vector<ParsedSnapshot> shards) {
   }
   hosts.reserve(total_hosts);
   for (ParsedSnapshot& shard : shards) {
-    const ShardSpec slot{shard.meta->shard_index, shard.meta->shard_count};
+    const ShardSpec slot{shard.meta.shard_index, shard.meta.shard_count};
     for (HostRecord& h : shard.result.table.mutable_hosts()) {
       if (!slot.Owns(h.host)) {
         return Status::InvalidArgument(
             "host '" + h.host + "' does not belong to " +
-            ShardLabel(*shard.meta) + "; refusing to merge");
+            ShardLabel(shard.meta) + "; refusing to merge");
       }
       hosts.push_back(std::move(h));
     }
@@ -128,25 +122,6 @@ StatusOr<ParsedSnapshot> MergeSnapshots(std::vector<ParsedSnapshot> shards) {
   merge_inputs.Increment(n);
   merge_hosts.Increment(merged.result.table.num_hosts());
   return merged;
-}
-
-Status MergeSnapshotFiles(const std::vector<std::string>& inputs,
-                          const std::string& out_path) {
-  std::vector<ParsedSnapshot> shards;
-  shards.reserve(inputs.size());
-  for (const std::string& path : inputs) {
-    auto loaded = LoadSnapshotFile(path);
-    if (!loaded.ok()) {
-      return Status(loaded.status().code(),
-                    path + ": " + loaded.status().message());
-    }
-    shards.push_back(std::move(loaded).value());
-  }
-  auto merged = MergeSnapshots(std::move(shards));
-  if (!merged.ok()) return merged.status();
-  // WriteSnapshotFileAligned writes via rename, so a failure here (or
-  // anywhere above) leaves no partial file at out_path.
-  return WriteSnapshotFileAligned(out_path, merged->result, *merged->meta);
 }
 
 }  // namespace wsd

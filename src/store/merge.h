@@ -1,7 +1,6 @@
 #ifndef WSD_STORE_MERGE_H_
 #define WSD_STORE_MERGE_H_
 
-#include <string>
 #include <vector>
 
 #include "extract/scan_pipeline.h"
@@ -25,7 +24,6 @@ namespace wsd {
 /// Combines per-shard snapshots into the single snapshot a monolithic
 /// scan of the same corpus would have produced (in canonical form, bit
 /// for bit). Validation is strict and the call fails closed:
-///   - every input must be an aligned (v2) snapshot carrying provenance;
 ///   - all inputs must agree on (domain, attr, num_entities, seed,
 ///     scale_bits, legacy_scan);
 ///   - the shard slots must be exactly {0..n-1} of a shard_count equal to
@@ -38,12 +36,6 @@ namespace wsd {
 /// merge_inputs / merge_hosts.
 [[nodiscard]] StatusOr<ParsedSnapshot> MergeSnapshots(
     std::vector<ParsedSnapshot> shards);
-
-/// Loads every input snapshot (mmap fast path), merges them, and
-/// atomically writes the merged aligned snapshot to `out_path`. Any
-/// validation or I/O failure leaves no partial output file behind.
-[[nodiscard]] Status MergeSnapshotFiles(const std::vector<std::string>& inputs,
-                                        const std::string& out_path);
 
 }  // namespace wsd
 

@@ -2,7 +2,6 @@
 #define WSD_STORE_SNAPSHOT_H_
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <string_view>
 
@@ -13,29 +12,28 @@
 
 namespace wsd {
 
-/// Binary layout versions of the scan snapshot. Version 1 is the compact
-/// varint/delta columnar encoding; version 2 is the aligned fixed-width
-/// columnar encoding (8-byte aligned sections, zero-padded payloads) that
-/// the zero-copy mmap loader reads directly, and the only version that
-/// carries provenance (SnapshotMeta), which `wsdctl merge` requires.
-/// Version 3 is byte-identical to version 2 in layout; the bump exists so
-/// snapshots of post-v2 attribute channels (schema.org microdata, wire id
-/// 4) are rejected fail-closed by v1/v2-era readers instead of being
-/// decoded under an attribute vocabulary that cannot represent them. The
-/// version an aligned snapshot is written with is per-attribute (see
+/// Binary layout versions of the scan snapshot. Both are the aligned
+/// fixed-width columnar encoding (8-byte aligned sections, zero-padded
+/// payloads) that the zero-copy mmap loader reads directly, and both
+/// carry provenance (SnapshotMeta). Version 3 is byte-identical to
+/// version 2 in layout; the bump exists so snapshots of post-v2
+/// attribute channels (schema.org microdata, wire id 4) are rejected
+/// fail-closed by v2-era readers instead of being decoded under an
+/// attribute vocabulary that cannot represent them. The version an
+/// aligned snapshot is written with is per-attribute (see
 /// SnapshotVersionFor), so legacy-channel snapshots remain byte-identical
-/// to the v2 era. The loader accepts exactly these three versions and
-/// rejects every other (stale artifacts then fall back to a live scan
-/// rather than being misread).
-inline constexpr uint32_t kSnapshotSchemaVersion = 1;
+/// to the v2 era. The loader accepts exactly these two versions and
+/// rejects every other, including the retired v1 varint format (stale
+/// artifacts then fall back to a live scan rather than being misread).
 inline constexpr uint32_t kSnapshotSchemaVersionAligned = 2;
 inline constexpr uint32_t kSnapshotSchemaVersionV3 = 3;
 
 /// The aligned schema version snapshots of `attr` are written with:
 /// AttributeSpec::min_snapshot_version from the attribute registry (2 for
 /// the four legacy channels, 3 for microdata). A parsed file whose header
-/// version is below this for its meta attribute is Corruption — a genuine
-/// old writer could not have produced it.
+/// version differs from this for its meta attribute is Corruption — no
+/// writer produces it, and accepting it would give one table two
+/// encodings.
 [[nodiscard]] uint32_t SnapshotVersionFor(Attribute attr);
 
 /// Serialized size cannot be known without encoding, but every snapshot
@@ -52,9 +50,9 @@ inline constexpr char kSnapshotMagic[8] = {'W', 'S', 'D', 'S',
 
 /// Provenance of one scan snapshot: the exact inputs that determine the
 /// scan output, plus which corpus slice this snapshot covers. Carried in
-/// aligned (v2) snapshots only; `wsdctl merge` refuses shards whose
-/// provenance disagrees, and the ArtifactStore cross-checks it against
-/// the requested key on load.
+/// every snapshot; `wsdctl merge` refuses shards whose provenance
+/// disagrees, and the ArtifactStore cross-checks it against the requested
+/// key on every load.
 struct SnapshotMeta {
   Domain domain = Domain::kRestaurants;
   Attribute attr = Attribute::kPhone;
@@ -75,27 +73,11 @@ struct SnapshotMeta {
   }
 };
 
-/// A decoded snapshot: the scan result plus its provenance when the file
-/// carried one (aligned v2 snapshots always do; v1 snapshots never do).
+/// A decoded snapshot: the scan result plus its provenance.
 struct ParsedSnapshot {
   ScanResult result;
-  std::optional<SnapshotMeta> meta;
+  SnapshotMeta meta;
 };
-
-/// Encodes `result` (the HostEntityTable plus its ScanStats) into the
-/// compact (v1) binary snapshot format:
-///
-///   magic "WSDSNAP1" | version u32 | section count u32
-///   per section: id u32 | payload length u64 | XXH64 checksum u64 | payload
-///
-/// Section 1 carries the varint-encoded ScanStats; section 2 carries the
-/// table in columnar form (name lengths, name bytes, per-host page/byte
-/// totals, per-host entity counts, delta-encoded entity ids, per-edge
-/// page counts — every integer LEB128 varint). See docs/ARCHITECTURE.md,
-/// "Artifact store". Returns InvalidArgument when the table violates the
-/// HostRecord contract (entity ids not sorted, or an invalid id).
-[[nodiscard]] StatusOr<std::string> SerializeSnapshot(
-    const ScanResult& result);
 
 /// Encodes `result` + `meta` into the aligned (v2/v3) snapshot format:
 ///
@@ -113,48 +95,34 @@ struct ParsedSnapshot {
 /// aligned and padding is inside both the length and the checksum, so the
 /// mmap loader can read columns in place and any padding flip still fails
 /// the checksum. Returns InvalidArgument on HostRecord-contract
-/// violations or an invalid meta.
+/// violations (entity ids not sorted, or an invalid id) or an invalid
+/// meta.
 [[nodiscard]] StatusOr<std::string> SerializeSnapshotAligned(
     const ScanResult& result, const SnapshotMeta& meta);
 
-/// Decodes a snapshot of either version. Validates the magic, schema
-/// version, section framing and per-section checksums, and bounds-checks
-/// every count and offset; malformed, truncated, bit-flipped or foreign
-/// input yields a Corruption status (never a crash — fuzzed by
-/// fuzz/fuzz_snapshot.cc). A clean round trip is bit-identical: the
-/// parsed table compares equal to the serialized one field by field.
-[[nodiscard]] StatusOr<ScanResult> ParseSnapshot(std::string_view bytes);
+/// Decodes a snapshot. Validates the magic, schema version, section
+/// framing and per-section checksums, and bounds-checks every count and
+/// offset; malformed, truncated, bit-flipped, foreign or v1 input yields a
+/// Corruption status (never a crash — fuzzed by fuzz/fuzz_snapshot.cc).
+/// The encoding is canonical: re-serializing a parsed snapshot
+/// reproduces its bytes.
+[[nodiscard]] StatusOr<ParsedSnapshot> ParseSnapshot(std::string_view bytes);
 
-/// ParseSnapshot, also surfacing the provenance of v2 snapshots.
-[[nodiscard]] StatusOr<ParsedSnapshot> ParseSnapshotFull(
-    std::string_view bytes);
-
-/// Serializes `result` (v1 compact form) and atomically replaces `path`
-/// with it (write-via-rename, so readers never observe a torn snapshot).
-[[nodiscard]] Status WriteSnapshotFile(const std::string& path,
-                                       const ScanResult& result);
-
-/// Serializes `result` + `meta` in the aligned (v2) form and atomically
-/// replaces `path` with it.
+/// Serializes `result` + `meta` and atomically replaces `path` with it
+/// (write-via-rename, so readers never observe a torn snapshot).
 [[nodiscard]] Status WriteSnapshotFileAligned(const std::string& path,
                                               const ScanResult& result,
                                               const SnapshotMeta& meta);
 
-/// Reads and validates the snapshot at `path` (buffered read + decode).
-[[nodiscard]] StatusOr<ScanResult> ReadSnapshotFile(const std::string& path);
-
-/// Loads the snapshot at `path` on the fastest correct path. Aligned
-/// (v2) files are mmap'd and their columns bulk-copied in place — zero
-/// varint decode work, counted in wsd.store.mmap_loads — after the same
-/// checksum and bounds validation as the buffered parser, with every
+/// Loads the snapshot at `path`. The file is mmap'd and its columns
+/// bulk-copied in place (counted in wsd.store.mmap_loads), with every
 /// access bounds-checked against the mapped extent taken at open time
 /// (the store only ever replaces snapshots via atomic rename, never
 /// truncates in place, so the mapping cannot shrink under us and a
-/// truncated file fails closed instead of faulting). v1 files, and any
-/// platform/file where mmap is unavailable, fall back to the buffered
-/// decoder (counted in wsd.store.mmap_fallbacks). A corrupt v2 file is an
-/// error on both paths, not a fallback: the bytes are the same either
-/// way.
+/// truncated file fails closed instead of faulting). A file that cannot
+/// be mapped, such as a pipe, is read into a buffer instead (counted in
+/// wsd.store.mmap_fallbacks); both paths run ParseSnapshot on the same
+/// bytes.
 [[nodiscard]] StatusOr<ParsedSnapshot> LoadSnapshotFile(
     const std::string& path);
 

@@ -2,14 +2,14 @@
 // merging a complete set of shard scans reproduces the monolithic
 // canonical snapshot bit for bit — for every attribute kind, at several
 // thread counts, and across shard widths. Also covers the fail-closed
-// validation matrix (provenance, slots, ownership, duplicates) and the
-// file-level merge path (no partial output on failure).
+// validation matrix (provenance, slots, ownership, duplicates). The
+// file-level path (`wsdctl merge`: no partial output on failure, the
+// failing input named) is tested in wsdctl_test.cc.
 
 #include "store/merge.h"
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <string>
 #include <utility>
 #include <vector>
@@ -22,17 +22,8 @@
 namespace wsd {
 namespace {
 
-namespace fs = std::filesystem;
-
 uint64_t CounterValue(const std::string& name) {
   return MetricsRegistry::Global().GetCounter(name).value();
-}
-
-std::string FreshDir(const std::string& name) {
-  const std::string dir =
-      (fs::temp_directory_path() / ("wsd_merge_test_" + name)).string();
-  fs::remove_all(dir);
-  return dir;
 }
 
 StudyOptions SmallOptions(uint32_t threads) {
@@ -96,7 +87,7 @@ std::vector<ParsedSnapshot> ScanShards(const StudyOptions& options,
 std::string MergedBytes(std::vector<ParsedSnapshot> shards) {
   auto merged = MergeSnapshots(std::move(shards));
   EXPECT_TRUE(merged.ok()) << merged.status();
-  auto bytes = SerializeSnapshotAligned(merged->result, *merged->meta);
+  auto bytes = SerializeSnapshotAligned(merged->result, merged->meta);
   EXPECT_TRUE(bytes.ok()) << bytes.status();
   return *bytes;
 }
@@ -154,8 +145,8 @@ TEST(MergeTest, MergeCountsMetrics) {
   EXPECT_EQ(CounterValue("wsd.store.merge_hosts"),
             hosts0 + merged->result.table.num_hosts());
   // Merged provenance is a whole-corpus snapshot.
-  EXPECT_EQ(merged->meta->shard_index, 0u);
-  EXPECT_EQ(merged->meta->shard_count, 1u);
+  EXPECT_EQ(merged->meta.shard_index, 0u);
+  EXPECT_EQ(merged->meta.shard_count, 1u);
 }
 
 // ---------------------------------------------------------------------
@@ -205,16 +196,9 @@ TEST(MergeTest, RejectsEmptyInput) {
   EXPECT_TRUE(MergeSnapshots({}).status().IsInvalidArgument());
 }
 
-TEST(MergeTest, RejectsSnapshotWithoutProvenance) {
-  auto shards = HandBuiltShards();
-  shards[1].meta.reset();  // a v1 snapshot has no meta
-  EXPECT_TRUE(
-      MergeSnapshots(std::move(shards)).status().IsInvalidArgument());
-}
-
 TEST(MergeTest, RejectsProvenanceMismatch) {
   auto shards = HandBuiltShards();
-  shards[1].meta->seed = 2;  // same shard layout, different scan inputs
+  shards[1].meta.seed = 2;  // same shard layout, different scan inputs
   auto status = MergeSnapshots(std::move(shards)).status();
   EXPECT_TRUE(status.IsInvalidArgument()) << status;
 }
@@ -270,44 +254,6 @@ TEST(MergeTest, CanonicalizeSortsZeroesWallAndRejectsDuplicates) {
   ScanResult dup;
   dup.table = HostEntityTable(std::move(dup_hosts));
   EXPECT_TRUE(CanonicalizeScanResult(&dup).IsInvalidArgument());
-}
-
-// ---------------------------------------------------------------------
-// File-level merge.
-
-TEST(MergeFilesTest, MergesFilesAndFailsWithoutPartialOutput) {
-  const std::string dir = FreshDir("files");
-  ASSERT_TRUE(fs::create_directories(dir));
-  const StudyOptions options = SmallOptions(2);
-  auto shards = ScanShards(options, Domain::kBanks, Attribute::kPhone, 2);
-  std::vector<std::string> paths;
-  for (size_t i = 0; i < shards.size(); ++i) {
-    paths.push_back(dir + "/shard" + std::to_string(i) + ".wsdsnap");
-    ASSERT_TRUE(WriteSnapshotFileAligned(paths.back(), shards[i].result,
-                                         *shards[i].meta)
-                    .ok());
-  }
-
-  const std::string out = dir + "/merged.wsdsnap";
-  ASSERT_TRUE(MergeSnapshotFiles(paths, out).ok());
-  auto loaded = LoadSnapshotFile(out);
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_EQ(MergedBytes(std::move(shards)),
-            *SerializeSnapshotAligned(loaded->result, *loaded->meta));
-
-  // Incomplete input set: no output file may appear (or survive).
-  const std::string bad_out = dir + "/bad.wsdsnap";
-  EXPECT_FALSE(MergeSnapshotFiles({paths[0]}, bad_out).ok());
-  EXPECT_FALSE(fs::exists(bad_out));
-
-  // Unreadable input: the error names the file.
-  const std::string missing = dir + "/nope.wsdsnap";
-  const Status status = MergeSnapshotFiles({paths[0], missing}, bad_out);
-  EXPECT_FALSE(status.ok());
-  EXPECT_NE(status.message().find("nope.wsdsnap"), std::string::npos)
-      << status.ToString();
-  EXPECT_FALSE(fs::exists(bad_out));
-  fs::remove_all(dir);
 }
 
 }  // namespace

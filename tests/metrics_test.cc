@@ -168,13 +168,13 @@ TEST(MetricsRegistryTest, JsonExportRoundTripsNamesAndValues) {
 TEST(MetricsRegistryTest, PrometheusExportRoundTripsSanitizedNames) {
   MetricsRegistry registry;
   registry.GetCounter("wsd.scan.pages").Increment(7);
-  registry.GetGauge("wsd.scan.pages_per_sec").Set(1000.0);
+  registry.GetGauge("wsd.scan.scratch_bytes").Set(1000.0);
   registry.GetHistogram("wsd.graph.diameter_seconds").Record(0.05);
   const std::string prom = registry.ToPrometheus();
   EXPECT_NE(prom.find("# TYPE wsd_scan_pages counter"), std::string::npos)
       << prom;
   EXPECT_NE(prom.find("wsd_scan_pages 7"), std::string::npos);
-  EXPECT_NE(prom.find("# TYPE wsd_scan_pages_per_sec gauge"),
+  EXPECT_NE(prom.find("# TYPE wsd_scan_scratch_bytes gauge"),
             std::string::npos);
   EXPECT_NE(prom.find("# TYPE wsd_graph_diameter_seconds histogram"),
             std::string::npos);

@@ -1,23 +1,31 @@
 // Tests for the scan-artifact store: snapshot round trips (including
 // TSV-loaded, empty and zero-page tables), fail-closed parsing of
-// malformed bytes, ArtifactStore hit/miss/fallback semantics, and the
-// scan-once acceptance check (one live scan per (domain, attr) however
-// many analyses consume it).
+// malformed, foreign and retired-v1 bytes, ArtifactStore
+// hit/miss/fallback semantics, and the scan-once acceptance check (one
+// live scan per (domain, attr) however many analyses consume it).
 
 #include "store/artifact_store.h"
 #include "store/snapshot.h"
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/ioctl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/study.h"
+#include "util/hash.h"
 #include "util/metrics.h"
 
 namespace wsd {
@@ -99,110 +107,6 @@ void ExpectSameResult(const ScanResult& a, const ScanResult& b) {
   }
 }
 
-TEST(SnapshotTest, RoundTripIsBitIdentical) {
-  const ScanResult original = MakeResult();
-  auto bytes = SerializeSnapshot(original);
-  ASSERT_TRUE(bytes.ok()) << bytes.status();
-  auto parsed = ParseSnapshot(*bytes);
-  ASSERT_TRUE(parsed.ok()) << parsed.status();
-  ExpectSameResult(original, *parsed);
-  // Deterministic encoder: re-serializing the parsed result reproduces
-  // the same bytes.
-  auto bytes2 = SerializeSnapshot(*parsed);
-  ASSERT_TRUE(bytes2.ok());
-  EXPECT_EQ(*bytes, *bytes2);
-}
-
-TEST(SnapshotTest, EmptyTableRoundTrips) {
-  ScanResult empty;
-  auto bytes = SerializeSnapshot(empty);
-  ASSERT_TRUE(bytes.ok()) << bytes.status();
-  auto parsed = ParseSnapshot(*bytes);
-  ASSERT_TRUE(parsed.ok()) << parsed.status();
-  EXPECT_EQ(parsed->table.num_hosts(), 0u);
-  EXPECT_EQ(parsed->stats.pages_scanned, 0u);
-}
-
-TEST(SnapshotTest, TsvLoadedTableRoundTrips) {
-  const ScanResult original = MakeResult();
-  const std::string tsv =
-      (fs::temp_directory_path() / "wsd_store_test_table.tsv").string();
-  ASSERT_TRUE(original.table.WriteTsv(tsv).ok());
-  auto loaded = HostEntityTable::ReadTsv(tsv);
-  std::remove(tsv.c_str());
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-
-  // TSV persists only host + entity:pages, so wrap the reloaded table in
-  // a fresh result and require a bit-identical snapshot round trip.
-  ScanResult reloaded;
-  reloaded.table = std::move(loaded).value();
-  auto bytes = SerializeSnapshot(reloaded);
-  ASSERT_TRUE(bytes.ok()) << bytes.status();
-  auto parsed = ParseSnapshot(*bytes);
-  ASSERT_TRUE(parsed.ok()) << parsed.status();
-  ExpectSameResult(reloaded, *parsed);
-}
-
-TEST(SnapshotTest, FileRoundTripIsAtomicAndIdentical) {
-  const std::string dir = FreshDir("file_rt");
-  ASSERT_TRUE(fs::create_directories(dir));
-  const std::string path = dir + "/snap.wsdsnap";
-  const ScanResult original = MakeResult();
-  ASSERT_TRUE(WriteSnapshotFile(path, original).ok());
-  EXPECT_FALSE(fs::exists(path + ".tmp"));  // write-via-rename cleaned up
-  auto parsed = ReadSnapshotFile(path);
-  ASSERT_TRUE(parsed.ok()) << parsed.status();
-  ExpectSameResult(original, *parsed);
-  fs::remove_all(dir);
-}
-
-TEST(SnapshotTest, SerializerRejectsContractViolations) {
-  ScanResult bad = MakeResult();
-  bad.table.mutable_hosts()[0].entities = {{7, 1}, {3, 1}};  // unsorted
-  EXPECT_TRUE(SerializeSnapshot(bad).status().IsInvalidArgument());
-
-  ScanResult invalid_id = MakeResult();
-  invalid_id.table.mutable_hosts()[0].entities = {{kInvalidEntityId, 1}};
-  EXPECT_TRUE(SerializeSnapshot(invalid_id).status().IsInvalidArgument());
-}
-
-TEST(SnapshotTest, EveryTruncationFailsClosed) {
-  auto bytes = SerializeSnapshot(MakeResult());
-  ASSERT_TRUE(bytes.ok());
-  for (size_t len = 0; len < bytes->size(); ++len) {
-    auto parsed = ParseSnapshot(std::string_view(bytes->data(), len));
-    EXPECT_FALSE(parsed.ok()) << "prefix of " << len << " bytes parsed";
-  }
-}
-
-TEST(SnapshotTest, EveryByteFlipFailsClosed) {
-  auto bytes = SerializeSnapshot(MakeResult());
-  ASSERT_TRUE(bytes.ok());
-  // Header fields are validated and every payload byte is covered by its
-  // section checksum, so no single corrupted byte may parse.
-  for (size_t i = 0; i < bytes->size(); ++i) {
-    std::string corrupt = *bytes;
-    corrupt[i] = static_cast<char>(corrupt[i] ^ 0xff);
-    auto parsed = ParseSnapshot(corrupt);
-    EXPECT_FALSE(parsed.ok()) << "flip at byte " << i << " parsed";
-  }
-}
-
-TEST(SnapshotTest, RejectsVersionSkewWithClearStatus) {
-  auto bytes = SerializeSnapshot(MakeResult());
-  ASSERT_TRUE(bytes.ok());
-  std::string bumped = *bytes;
-  bumped[8] = 9;  // version u32: neither v1 (compact) nor v2 (aligned)
-  auto parsed = ParseSnapshot(bumped);
-  ASSERT_FALSE(parsed.ok());
-  EXPECT_TRUE(parsed.status().IsCorruption());
-  EXPECT_NE(parsed.status().message().find("version"), std::string::npos)
-      << parsed.status().ToString();
-}
-
-// ---------------------------------------------------------------------
-// Aligned (v2) snapshots.
-
 SnapshotMeta MakeMeta() {
   SnapshotMeta meta;
   meta.domain = Domain::kBanks;
@@ -216,40 +120,92 @@ SnapshotMeta MakeMeta() {
   return meta;
 }
 
+TEST(SnapshotTest, EmptyTableRoundTrips) {
+  ScanResult empty;
+  auto bytes = SerializeSnapshotAligned(empty, MakeMeta());
+  ASSERT_TRUE(bytes.ok()) << bytes.status();
+  auto parsed = ParseSnapshot(*bytes);
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  EXPECT_EQ(parsed->result.table.num_hosts(), 0u);
+  EXPECT_EQ(parsed->result.stats.pages_scanned, 0u);
+  auto bytes2 = SerializeSnapshotAligned(parsed->result, parsed->meta);
+  ASSERT_TRUE(bytes2.ok());
+  EXPECT_EQ(*bytes, *bytes2);
+}
+
+TEST(SnapshotTest, TsvLoadedTableRoundTrips) {
+  const ScanResult original = MakeResult();
+  const std::string tsv =
+      (fs::temp_directory_path() / "wsd_store_test_table.tsv").string();
+  ASSERT_TRUE(original.table.WriteTsv(tsv).ok());
+  auto loaded = HostEntityTable::ReadTsv(tsv);
+  std::remove(tsv.c_str());
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+
+  // TSV persists only host + entity:pages (adjacent duplicate ids
+  // included), so wrap the reloaded table in a fresh result and require a
+  // bit-identical snapshot round trip.
+  ScanResult reloaded;
+  reloaded.table = std::move(loaded).value();
+  auto bytes = SerializeSnapshotAligned(reloaded, MakeMeta());
+  ASSERT_TRUE(bytes.ok()) << bytes.status();
+  auto parsed = ParseSnapshot(*bytes);
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  ExpectSameResult(reloaded, parsed->result);
+}
+
+TEST(SnapshotTest, FileRoundTripIsAtomicAndIdentical) {
+  const std::string dir = FreshDir("file_rt");
+  ASSERT_TRUE(fs::create_directories(dir));
+  const std::string path = dir + "/snap.wsdsnap";
+  const ScanResult original = MakeResult();
+  ASSERT_TRUE(WriteSnapshotFileAligned(path, original, MakeMeta()).ok());
+  EXPECT_FALSE(fs::exists(path + ".tmp"));  // write-via-rename cleaned up
+  auto loaded = LoadSnapshotFile(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  ExpectSameResult(original, loaded->result);
+  fs::remove_all(dir);
+}
+
+TEST(SnapshotTest, SerializerRejectsContractViolations) {
+  ScanResult bad = MakeResult();
+  bad.table.mutable_hosts()[0].entities = {{7, 1}, {3, 1}};  // unsorted
+  EXPECT_TRUE(
+      SerializeSnapshotAligned(bad, MakeMeta()).status().IsInvalidArgument());
+
+  ScanResult invalid_id = MakeResult();
+  invalid_id.table.mutable_hosts()[0].entities = {{kInvalidEntityId, 1}};
+  EXPECT_TRUE(SerializeSnapshotAligned(invalid_id, MakeMeta())
+                  .status()
+                  .IsInvalidArgument());
+}
+
+// ---------------------------------------------------------------------
+// Aligned (v2) snapshots.
+
 TEST(SnapshotAlignedTest, RoundTripIsBitIdenticalAndCarriesMeta) {
   const ScanResult original = MakeResult();
   const SnapshotMeta meta = MakeMeta();
   auto bytes = SerializeSnapshotAligned(original, meta);
   ASSERT_TRUE(bytes.ok()) << bytes.status();
-  auto parsed = ParseSnapshotFull(*bytes);
-  ASSERT_TRUE(parsed.ok()) << parsed.status();
-  ExpectSameResult(original, parsed->result);
-  ASSERT_TRUE(parsed->meta.has_value());
-  EXPECT_TRUE(*parsed->meta == meta);
-  // Canonical encoding: re-serializing reproduces the same bytes.
-  auto bytes2 = SerializeSnapshotAligned(parsed->result, *parsed->meta);
-  ASSERT_TRUE(bytes2.ok());
-  EXPECT_EQ(*bytes, *bytes2);
-}
-
-TEST(SnapshotAlignedTest, CompactParserAlsoReadsAligned) {
-  // ParseSnapshot dispatches on the version word, so v2 bytes decode via
-  // the plain entry point too (meta is simply dropped).
-  auto bytes = SerializeSnapshotAligned(MakeResult(), MakeMeta());
-  ASSERT_TRUE(bytes.ok());
   auto parsed = ParseSnapshot(*bytes);
   ASSERT_TRUE(parsed.ok()) << parsed.status();
-  ExpectSameResult(MakeResult(), *parsed);
+  ExpectSameResult(original, parsed->result);
+  EXPECT_TRUE(parsed->meta == meta);
+  // Canonical encoding: re-serializing reproduces the same bytes.
+  auto bytes2 = SerializeSnapshotAligned(parsed->result, parsed->meta);
+  ASSERT_TRUE(bytes2.ok());
+  EXPECT_EQ(*bytes, *bytes2);
 }
 
 TEST(SnapshotAlignedTest, EveryTruncationFailsClosed) {
   auto bytes = SerializeSnapshotAligned(MakeResult(), MakeMeta());
   ASSERT_TRUE(bytes.ok());
   for (size_t len = 0; len < bytes->size(); ++len) {
-    auto parsed = ParseSnapshotFull(std::string_view(bytes->data(), len));
+    auto parsed = ParseSnapshot(std::string_view(bytes->data(), len));
     EXPECT_FALSE(parsed.ok()) << "prefix of " << len << " bytes parsed";
   }
-  EXPECT_TRUE(ParseSnapshotFull(*bytes + "x").status().IsCorruption());
+  EXPECT_TRUE(ParseSnapshot(*bytes + "x").status().IsCorruption());
 }
 
 TEST(SnapshotAlignedTest, EveryByteFlipFailsClosed) {
@@ -260,9 +216,29 @@ TEST(SnapshotAlignedTest, EveryByteFlipFailsClosed) {
   for (size_t i = 0; i < bytes->size(); ++i) {
     std::string corrupt = *bytes;
     corrupt[i] = static_cast<char>(corrupt[i] ^ 0xff);
-    auto parsed = ParseSnapshotFull(corrupt);
+    auto parsed = ParseSnapshot(corrupt);
     EXPECT_FALSE(parsed.ok()) << "flip at byte " << i << " parsed";
   }
+}
+
+// Writes `bytes` into the FIFO at `path`, then holds the write end open
+// until a reader has drained them, so that reader sees the data and then
+// end-of-file.
+void FeedFifo(const std::string& path, const std::string& bytes) {
+  const int fd = ::open(path.c_str(), O_WRONLY);
+  if (fd < 0) return;
+  size_t written = 0;
+  while (written < bytes.size()) {
+    const ssize_t n =
+        ::write(fd, bytes.data() + written, bytes.size() - written);
+    if (n <= 0) break;
+    written += static_cast<size_t>(n);
+  }
+  int unread = 0;
+  while (::ioctl(fd, FIONREAD, &unread) == 0 && unread > 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ::close(fd);
 }
 
 TEST(SnapshotAlignedTest, MmapLoadMatchesBufferedParseAndCounts) {
@@ -280,22 +256,33 @@ TEST(SnapshotAlignedTest, MmapLoadMatchesBufferedParseAndCounts) {
   EXPECT_EQ(CounterValue("wsd.store.mmap_loads"), mmaps0 + 1);
   EXPECT_EQ(CounterValue("wsd.store.mmap_fallbacks"), falls0);
   ExpectSameResult(original, loaded->result);
-  ASSERT_TRUE(loaded->meta.has_value());
-  EXPECT_TRUE(*loaded->meta == meta);
+  EXPECT_TRUE(loaded->meta == meta);
 
-  // A compact (v1) file takes the buffered fallback, not an error.
-  const std::string v1_path = dir + "/snap_v1.wsdsnap";
-  ASSERT_TRUE(WriteSnapshotFile(v1_path, original).ok());
-  auto v1_loaded = LoadSnapshotFile(v1_path);
-  ASSERT_TRUE(v1_loaded.ok()) << v1_loaded.status();
-  EXPECT_EQ(CounterValue("wsd.store.mmap_fallbacks"), falls0 + 1);
-  ExpectSameResult(original, v1_loaded->result);
-  EXPECT_FALSE(v1_loaded->meta.has_value());
-
-  // A truncated v2 file is an error on the mmap path — never a crash,
-  // never a silent fallback (the bytes would be just as corrupt there).
+  // A file that cannot be mapped (here a FIFO fed by a writer thread) is
+  // read into a buffer and parsed the same way: the same result, one
+  // fallback, no mmap load.
   auto bytes = SerializeSnapshotAligned(original, meta);
   ASSERT_TRUE(bytes.ok());
+  const std::string fifo_path = dir + "/snap.fifo";
+  ASSERT_EQ(::mkfifo(fifo_path.c_str(), 0600), 0);
+  // A read end held open for the whole load, so the writer neither waits
+  // in open() nor hits EPIPE while the loader opens the FIFO, finds it
+  // unmappable, closes it and reopens it to read.
+  const int keeper = ::open(fifo_path.c_str(), O_RDONLY | O_NONBLOCK);
+  ASSERT_GE(keeper, 0);
+  std::thread writer([&fifo_path, &bytes] { FeedFifo(fifo_path, *bytes); });
+  const uint64_t mmaps1 = CounterValue("wsd.store.mmap_loads");
+  auto piped = LoadSnapshotFile(fifo_path);
+  writer.join();
+  ::close(keeper);
+  ASSERT_TRUE(piped.ok()) << piped.status();
+  EXPECT_EQ(CounterValue("wsd.store.mmap_fallbacks"), falls0 + 1);
+  EXPECT_EQ(CounterValue("wsd.store.mmap_loads"), mmaps1);
+  ExpectSameResult(loaded->result, piped->result);
+  EXPECT_TRUE(piped->meta == loaded->meta);
+
+  // A truncated file is an error on the mmap path — never a crash, never
+  // a silent fallback (the bytes would be just as corrupt there).
   const std::string cut_path = dir + "/cut.wsdsnap";
   {
     std::ofstream out(cut_path, std::ios::binary | std::ios::trunc);
@@ -343,11 +330,10 @@ TEST(SnapshotV3Test, MicrodataSnapshotRoundTripsEverywhere) {
   meta.attr = Attribute::kMicrodata;
   auto bytes = SerializeSnapshotAligned(original, meta);
   ASSERT_TRUE(bytes.ok()) << bytes.status();
-  auto parsed = ParseSnapshotFull(*bytes);
+  auto parsed = ParseSnapshot(*bytes);
   ASSERT_TRUE(parsed.ok()) << parsed.status();
   ExpectSameResult(original, parsed->result);
-  ASSERT_TRUE(parsed->meta.has_value());
-  EXPECT_TRUE(*parsed->meta == meta);
+  EXPECT_TRUE(parsed->meta == meta);
 
   // The mmap path accepts v3 without a buffered fallback.
   const std::string dir = FreshDir("v3_mmap");
@@ -364,34 +350,49 @@ TEST(SnapshotV3Test, MicrodataSnapshotRoundTripsEverywhere) {
   fs::remove_all(dir);
 }
 
-TEST(SnapshotV3Test, ForgedV2FileWithMicrodataAttrIsRejected) {
+TEST(SnapshotV3Test, ForgedHeaderVersionIsRejected) {
   // The header version word is outside the section checksums, so a
   // forged/buggy writer could stamp v2 on a file carrying an attribute
-  // no v2 writer knew. The vocabulary cross-check refuses it.
-  SnapshotMeta meta = MakeMeta();
-  meta.domain = Domain::kRestaurants;
-  meta.attr = Attribute::kMicrodata;
-  auto bytes = SerializeSnapshotAligned(MakeResult(), meta);
-  ASSERT_TRUE(bytes.ok());
-  std::string forged = *bytes;
-  const uint32_t v2 = kSnapshotSchemaVersionAligned;
-  std::memcpy(forged.data() + sizeof(kSnapshotMagic), &v2, 4);
-  auto parsed = ParseSnapshotFull(forged);
-  ASSERT_FALSE(parsed.ok());
-  EXPECT_TRUE(parsed.status().IsCorruption()) << parsed.status();
-  EXPECT_NE(parsed.status().message().find("requires schema v3"),
-            std::string::npos)
-      << parsed.status().ToString();
+  // no v2 writer knew, or v3 on a legacy-channel table (re-encoding would
+  // stamp v2, giving the table a second encoding). The vocabulary
+  // cross-check refuses both.
+  struct Case {
+    Attribute attr;
+    uint32_t stamped;
+    const char* message;
+  };
+  for (const Case& c :
+       {Case{Attribute::kMicrodata, kSnapshotSchemaVersionAligned,
+             "requires schema v3"},
+        Case{Attribute::kPhone, kSnapshotSchemaVersionV3,
+             "requires schema v2"}}) {
+    SnapshotMeta meta = MakeMeta();
+    meta.domain = Domain::kRestaurants;
+    meta.attr = c.attr;
+    auto bytes = SerializeSnapshotAligned(MakeResult(), meta);
+    ASSERT_TRUE(bytes.ok());
+    std::string forged = *bytes;
+    std::memcpy(forged.data() + sizeof(kSnapshotMagic), &c.stamped, 4);
+    auto parsed = ParseSnapshot(forged);
+    ASSERT_FALSE(parsed.ok()) << c.message;
+    EXPECT_TRUE(parsed.status().IsCorruption()) << parsed.status();
+    EXPECT_NE(parsed.status().message().find(c.message), std::string::npos)
+        << parsed.status().ToString();
+  }
 }
 
 TEST(SnapshotV3Test, UnknownFutureVersionIsRejected) {
   auto bytes = SerializeSnapshotAligned(MakeResult(), MakeMeta());
   ASSERT_TRUE(bytes.ok());
-  std::string future = *bytes;
-  const uint32_t v4 = 4;
-  std::memcpy(future.data() + sizeof(kSnapshotMagic), &v4, 4);
-  EXPECT_TRUE(ParseSnapshotFull(future).status().IsCorruption());
-  EXPECT_TRUE(ParseSnapshot(future).status().IsCorruption());
+  for (const uint32_t version : {4u, 9u}) {
+    std::string future = *bytes;
+    std::memcpy(future.data() + sizeof(kSnapshotMagic), &version, 4);
+    auto parsed = ParseSnapshot(future);
+    ASSERT_FALSE(parsed.ok()) << "v" << version;
+    EXPECT_TRUE(parsed.status().IsCorruption()) << parsed.status();
+    EXPECT_NE(parsed.status().message().find("version"), std::string::npos)
+        << parsed.status().ToString();
+  }
 }
 
 TEST(SnapshotV3Test, EveryTruncationAndByteFlipFailsClosed) {
@@ -401,14 +402,13 @@ TEST(SnapshotV3Test, EveryTruncationAndByteFlipFailsClosed) {
   auto bytes = SerializeSnapshotAligned(MakeResult(), meta);
   ASSERT_TRUE(bytes.ok());
   for (size_t len = 0; len < bytes->size(); ++len) {
-    EXPECT_FALSE(
-        ParseSnapshotFull(std::string_view(bytes->data(), len)).ok())
+    EXPECT_FALSE(ParseSnapshot(std::string_view(bytes->data(), len)).ok())
         << "prefix of " << len << " bytes parsed";
   }
   for (size_t i = 0; i < bytes->size(); ++i) {
     std::string corrupt = *bytes;
     corrupt[i] = static_cast<char>(corrupt[i] ^ 0xff);
-    EXPECT_FALSE(ParseSnapshotFull(corrupt).ok())
+    EXPECT_FALSE(ParseSnapshot(corrupt).ok())
         << "flip at byte " << i << " parsed";
   }
 }
@@ -427,7 +427,7 @@ TEST(SnapshotTest, RejectsForeignAndTrailingBytes) {
   EXPECT_TRUE(ParseSnapshot("WSDCACHE1\nnot a snapshot at all")
                   .status()
                   .IsCorruption());
-  auto bytes = SerializeSnapshot(MakeResult());
+  auto bytes = SerializeSnapshotAligned(MakeResult(), MakeMeta());
   ASSERT_TRUE(bytes.ok());
   EXPECT_TRUE(ParseSnapshot(*bytes + "x").status().IsCorruption());
 }
@@ -560,6 +560,72 @@ TEST(ArtifactStoreTest, ProvenanceMismatchCountsVerifyFailure) {
 
   // The honest key still loads.
   EXPECT_TRUE(store.Load(key).ok());
+  fs::remove_all(dir);
+}
+
+// A snapshot in the retired v1 layout, assembled by hand since no encoder
+// for it is left: magic, version 1, section count 2, then per section
+// id u32 | payload length u64 | XXH64 u64 | payload. Section 1 holds six
+// LEB128 varint counters plus the raw bits of wall_seconds; section 2
+// holds one host with one entity as varint columns. Every value is below
+// 128, so each varint is one byte.
+std::string V1SnapshotBytes() {
+  auto put_le = [](uint64_t v, int width, std::string* out) {
+    for (int i = 0; i < width; ++i) {
+      out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+    }
+  };
+  // hosts, pages, bytes, mentions, review pages, skipped URLs
+  std::string stats = {1, 3, 100, 2, 0, 0};
+  stats.append(8, '\0');  // wall_seconds = 0.0
+  const std::string host = "alpha.example.com";
+  std::string hosts = {1, static_cast<char>(host.size())};
+  hosts += host;
+  // pages, bytes, entity count, entity id 5, its page count
+  hosts += std::string{3, 100, 1, 5, 2};
+
+  std::string out(kSnapshotMagic, sizeof(kSnapshotMagic));
+  put_le(1, 4, &out);  // schema version
+  put_le(2, 4, &out);  // section count
+  for (const auto& [id, payload] :
+       {std::pair<uint32_t, std::string>{1, stats}, {2, hosts}}) {
+    put_le(id, 4, &out);
+    put_le(payload.size(), 8, &out);
+    put_le(XxHash64(payload), 8, &out);
+    out += payload;
+  }
+  return out;
+}
+
+// A v1 file carries no provenance, so a loader that read it could not
+// tell which key it belongs to. It must be a verify failure, not a hit
+// for whatever key it sits under.
+TEST(ArtifactStoreTest, V1FileUnderKeyIsVerifyFailure) {
+  const std::string dir = FreshDir("v1");
+  ASSERT_TRUE(fs::create_directories(dir));
+  const ArtifactStore store(dir);
+  ArtifactKey key;
+  key.num_entities = 64;
+  const std::string v1 = V1SnapshotBytes();
+  const std::string path = store.PathFor(key);
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << v1;
+  }
+
+  const uint64_t failures0 = CounterValue("wsd.artifact.verify_failures");
+  const uint64_t hits0 = CounterValue("wsd.artifact.hits");
+  EXPECT_FALSE(store.Load(key).ok());
+  EXPECT_EQ(CounterValue("wsd.artifact.verify_failures"), failures0 + 1);
+  EXPECT_EQ(CounterValue("wsd.artifact.hits"), hits0);
+
+  // The parser and the file loader both refuse it, naming the version.
+  for (const Status& status :
+       {ParseSnapshot(v1).status(), LoadSnapshotFile(path).status()}) {
+    EXPECT_TRUE(status.IsCorruption()) << status;
+    EXPECT_NE(status.message().find("file v1"), std::string::npos)
+        << status.ToString();
+  }
   fs::remove_all(dir);
 }
 

@@ -29,10 +29,13 @@ std::string CliPath() {
   return "";
 }
 
-int RunCli(const std::string& args) {
+// Runs wsdctl with stdout discarded and stderr sent to `err_path`.
+int RunCli(const std::string& args,
+           const std::string& err_path = "/dev/null") {
   const std::string cli = CliPath();
   if (cli.empty()) return -1;
-  const std::string command = cli + " " + args + " > /dev/null 2>&1";
+  const std::string command =
+      cli + " " + args + " > /dev/null 2> " + err_path;
   const int status = std::system(command.c_str());
   return WEXITSTATUS(status);
 }
@@ -119,7 +122,6 @@ TEST(WsdctlTest, MetricsSubcommandDumpsPopulatedRegistry) {
   // after a scan (Prometheus exposition names).
   EXPECT_NE(text.find("wsd_scan_pages "), std::string::npos) << text;
   EXPECT_NE(text.find("wsd_pool_tasks_completed "), std::string::npos);
-  EXPECT_NE(text.find("wsd_scan_pages_per_sec "), std::string::npos);
   EXPECT_NE(text.find("wsd_scan_shard_seconds_bucket"), std::string::npos);
   EXPECT_NE(text.find("wsd_scan_run_seconds_count 1"), std::string::npos);
   EXPECT_NE(text.find("wsd_pool_task_seconds_sum"), std::string::npos);
@@ -151,17 +153,18 @@ TEST(WsdctlTest, ScanWritesLoadableSnapshot) {
                    "--scale 0.05 --seed 3 --out=" +
                    snap + " --table-out=" + tsv),
             0);
-  auto parsed = ReadSnapshotFile(snap);
+  auto parsed = LoadSnapshotFile(snap);
   ASSERT_TRUE(parsed.ok()) << parsed.status();
-  EXPECT_GT(parsed->table.num_hosts(), 0u);
-  EXPECT_GT(parsed->stats.pages_scanned, 0u);
+  const HostEntityTable& loaded = parsed->result.table;
+  EXPECT_GT(loaded.num_hosts(), 0u);
+  EXPECT_GT(parsed->result.stats.pages_scanned, 0u);
   // The snapshot's table matches the TSV the same run wrote.
   auto table = HostEntityTable::ReadTsv(tsv);
   ASSERT_TRUE(table.ok()) << table.status();
-  ASSERT_EQ(parsed->table.num_hosts(), table->num_hosts());
+  ASSERT_EQ(loaded.num_hosts(), table->num_hosts());
   for (size_t i = 0; i < table->num_hosts(); ++i) {
-    EXPECT_EQ(parsed->table.host(i).host, table->host(i).host);
-    EXPECT_EQ(parsed->table.host(i).entities.size(),
+    EXPECT_EQ(loaded.host(i).host, table->host(i).host);
+    EXPECT_EQ(loaded.host(i).entities.size(),
               table->host(i).entities.size());
   }
   std::remove(snap.c_str());
@@ -253,6 +256,12 @@ TEST(WsdctlTest, MergeRejectsMismatchedAndIncompleteShards) {
   // Duplicate slot: refused.
   EXPECT_EQ(RunCli("merge " + a + " " + a + " --out=" + out), 1);
   EXPECT_FALSE(fs::exists(out));
+  // Unreadable input: refused, and stderr names the file.
+  const std::string missing = dir + "/nope.wsdsnap";
+  const std::string err = dir + "/stderr.txt";
+  EXPECT_EQ(RunCli("merge " + a + " " + missing + " --out=" + out, err), 1);
+  EXPECT_FALSE(fs::exists(out));
+  EXPECT_NE(ReadFile(err).find(missing), std::string::npos) << ReadFile(err);
   // No inputs / no destination: usage errors.
   EXPECT_EQ(RunCli("merge --out=" + out), 2);
   EXPECT_EQ(RunCli("merge " + a), 2);

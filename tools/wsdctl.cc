@@ -641,7 +641,7 @@ int CmdMerge(const Args& args) {
             << " mentions\n";
   if (out) {
     const Status status =
-        WriteSnapshotFileAligned(*out, merged->result, *merged->meta);
+        WriteSnapshotFileAligned(*out, merged->result, merged->meta);
     if (!status.ok()) {
       std::cerr << status << "\n";
       return 1;
@@ -650,7 +650,7 @@ int CmdMerge(const Args& args) {
   }
   if (artifacts) {
     const ArtifactStore store{*artifacts};
-    const ArtifactKey key = ArtifactKey::FromMeta(*merged->meta);
+    const ArtifactKey key = ArtifactKey::FromMeta(merged->meta);
     const Status status = store.Store(key, merged->result);
     if (!status.ok()) {
       std::cerr << status << "\n";
