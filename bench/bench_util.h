@@ -1,6 +1,7 @@
 #ifndef WSD_BENCH_BENCH_UTIL_H_
 #define WSD_BENCH_BENCH_UTIL_H_
 
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -18,28 +19,16 @@ namespace bench {
 /// Study options shared by every figure bench: defaults plus the
 /// WSD_SCALE / WSD_ENTITIES / WSD_SEED / WSD_THREADS environment knobs.
 /// Pass argc/argv to additionally honor the --entities / --seed /
-/// --scale / --threads command-line flags (flags win over env vars).
+/// --scale / --threads / --artifacts flags (flags win over env vars); a
+/// malformed flag prints the error and exits 2.
 inline StudyOptions Options(int argc = 0, char* const* argv = nullptr) {
-  StudyOptions options = StudyOptions::FromEnv();
-  if (argv == nullptr) return options;
-  const FlagParser flags(argc, argv);
-  if (auto v = flags.Get("entities")) {
-    if (auto n = ParseUint64(*v)) {
-      options.num_entities = static_cast<uint32_t>(*n);
-    }
+  if (argv == nullptr) return StudyOptions::FromEnv();
+  auto options = StudyOptions::FromFlags(FlagParser(argc, argv));
+  if (!options.ok()) {
+    std::cerr << options.status() << "\n";
+    std::exit(2);
   }
-  if (auto v = flags.Get("seed")) {
-    if (auto n = ParseUint64(*v)) options.seed = *n;
-  }
-  if (auto v = flags.Get("scale")) {
-    if (auto f = ParseDouble(*v); f && *f > 0) options.scale = *f;
-  }
-  if (auto v = flags.Get("threads")) {
-    if (auto n = ParseUint64(*v)) {
-      options.threads = static_cast<uint32_t>(*n);
-    }
-  }
-  return options;
+  return *options;
 }
 
 /// Prints the standard run banner so bench output is self-describing.

@@ -6,6 +6,32 @@
 
 namespace wsd {
 
+namespace {
+
+// The values serialized as JSON strings are ASCII identifiers and bin
+// labels; escaping covers quotes/backslashes/control bytes anyway.
+void AppendJsonString(std::string* out, std::string_view s) {
+  out->push_back('"');
+  for (char c : s) {
+    switch (c) {
+      case '"': *out += "\\\""; break;
+      case '\\': *out += "\\\\"; break;
+      case '\n': *out += "\\n"; break;
+      case '\r': *out += "\\r"; break;
+      case '\t': *out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          AppendFormat(out, "\\u%04x", c);
+        } else {
+          out->push_back(c);
+        }
+    }
+  }
+  out->push_back('"');
+}
+
+}  // namespace
+
 TextTable::TextTable(std::vector<std::string> header)
     : header_(std::move(header)) {}
 
@@ -137,6 +163,143 @@ void PrintValueAddBins(const std::string& title,
                   FormatF(bin.rel_va_browse, 3)});
   }
   table.Print(out);
+}
+
+std::string SpreadBody(Domain domain, Attribute attr,
+                       const CoverageCurve& curve, WireFormat format) {
+  std::string out;
+  if (format == WireFormat::kTsv) {
+    out = "t";
+    for (size_t k = 1; k <= curve.k_coverage.size(); ++k) {
+      AppendFormat(&out, "\tk%zu", k);
+    }
+    out += "\n";
+    for (size_t i = 0; i < curve.t_values.size(); ++i) {
+      AppendFormat(&out, "%u", curve.t_values[i]);
+      for (const auto& series : curve.k_coverage) {
+        AppendFormat(&out, "\t%.6f", series[i]);
+      }
+      out += "\n";
+    }
+    return out;
+  }
+  out = "{\"domain\":";
+  AppendJsonString(&out, DomainName(domain));
+  out += ",\"attr\":";
+  AppendJsonString(&out, AttributeName(attr));
+  AppendFormat(&out, ",\"num_entities\":%u,\"num_sites\":%u,\"t\":[",
+               curve.num_entities, curve.num_sites);
+  for (size_t i = 0; i < curve.t_values.size(); ++i) {
+    AppendFormat(&out, "%s%u", i ? "," : "", curve.t_values[i]);
+  }
+  out += "],\"k_coverage\":[";
+  for (size_t k = 0; k < curve.k_coverage.size(); ++k) {
+    out += k ? ",[" : "[";
+    const auto& series = curve.k_coverage[k];
+    for (size_t i = 0; i < series.size(); ++i) {
+      AppendFormat(&out, "%s%.6f", i ? "," : "", series[i]);
+    }
+    out += "]";
+  }
+  out += "]}\n";
+  return out;
+}
+
+std::string SetCoverBody(Domain domain, Attribute attr,
+                         const SetCoverCurve& curve, WireFormat format) {
+  std::string out;
+  if (format == WireFormat::kTsv) {
+    out = "t\tgreedy\tby_size\n";
+    for (size_t i = 0; i < curve.t_values.size(); ++i) {
+      AppendFormat(&out, "%u\t%.6f\t%.6f\n", curve.t_values[i],
+                   curve.greedy_coverage[i], curve.size_coverage[i]);
+    }
+    return out;
+  }
+  out = "{\"domain\":";
+  AppendJsonString(&out, DomainName(domain));
+  out += ",\"attr\":";
+  AppendJsonString(&out, AttributeName(attr));
+  AppendFormat(&out, ",\"num_entities\":%u,\"t\":[", curve.num_entities);
+  for (size_t i = 0; i < curve.t_values.size(); ++i) {
+    AppendFormat(&out, "%s%u", i ? "," : "", curve.t_values[i]);
+  }
+  out += "],\"greedy\":[";
+  for (size_t i = 0; i < curve.greedy_coverage.size(); ++i) {
+    AppendFormat(&out, "%s%.6f", i ? "," : "", curve.greedy_coverage[i]);
+  }
+  out += "],\"by_size\":[";
+  for (size_t i = 0; i < curve.size_coverage.size(); ++i) {
+    AppendFormat(&out, "%s%.6f", i ? "," : "", curve.size_coverage[i]);
+  }
+  out += "]}\n";
+  return out;
+}
+
+std::string GraphTableTsv(std::span<const GraphMetricsRow> rows) {
+  std::string out =
+      "domain\tattr\tavg_sites_per_entity\tdiameter\tcomponents\t"
+      "largest_pct\n";
+  for (const GraphMetricsRow& row : rows) {
+    AppendFormat(&out, "%s\t%s\t%.2f\t%u\t%u\t%.4f\n",
+                 std::string(DomainName(row.domain)).c_str(),
+                 std::string(AttributeName(row.attr)).c_str(),
+                 row.avg_sites_per_entity, row.diameter, row.num_components,
+                 row.largest_component_entity_pct);
+  }
+  return out;
+}
+
+std::string GraphBody(const GraphMetricsRow& row, WireFormat format) {
+  if (format == WireFormat::kTsv) return GraphTableTsv({&row, 1});
+  std::string out = "{\"domain\":";
+  AppendJsonString(&out, DomainName(row.domain));
+  out += ",\"attr\":";
+  AppendJsonString(&out, AttributeName(row.attr));
+  AppendFormat(&out,
+               ",\"avg_sites_per_entity\":%.2f,\"diameter\":%u,"
+               "\"components\":%u,\"largest_pct\":%.4f,"
+               "\"covered_entities\":%u,\"sites\":%u,\"edges\":%llu}\n",
+               row.avg_sites_per_entity, row.diameter, row.num_components,
+               row.largest_component_entity_pct, row.num_covered_entities,
+               row.num_sites,
+               static_cast<unsigned long long>(row.num_edges));
+  return out;
+}
+
+std::string DemandBody(const Study::ValueStudyResult& result,
+                       WireFormat format) {
+  std::string out;
+  if (format == WireFormat::kTsv) {
+    out = "bin\tentities\tsearch_z\tbrowse_z\trel_va_search\trel_va_browse\n";
+    for (const auto& bin : result.bins) {
+      AppendFormat(&out, "%s\t%llu\t%.6f\t%.6f\t%.6f\t%.6f\n",
+                   bin.label.c_str(),
+                   static_cast<unsigned long long>(bin.num_entities),
+                   bin.mean_search_z, bin.mean_browse_z, bin.rel_va_search,
+                   bin.rel_va_browse);
+    }
+    return out;
+  }
+  out = "{\"site\":";
+  AppendJsonString(&out, TrafficSiteName(result.site));
+  AppendFormat(&out, ",\"head20_search\":%.6f,\"head20_browse\":%.6f,\"bins\":[",
+               result.head20_search, result.head20_browse);
+  bool first = true;
+  for (const auto& bin : result.bins) {
+    if (!first) out += ",";
+    first = false;
+    out += "{\"bin\":";
+    AppendJsonString(&out, bin.label);
+    AppendFormat(&out,
+                 ",\"entities\":%llu,\"search_z\":%.6f,\"browse_z\":%.6f,"
+                 "\"rel_va_search\":%.6f,\"rel_va_browse\":%.6f}",
+                 static_cast<unsigned long long>(bin.num_entities),
+                 bin.mean_search_z, bin.mean_browse_z, bin.rel_va_search,
+                 bin.rel_va_browse);
+  }
+  out += "]}\n";
+  return out;
 }
 
 }  // namespace wsd

@@ -2,6 +2,7 @@
 #define WSD_CORE_REPORT_H_
 
 #include <ostream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -10,6 +11,7 @@
 #include "core/demand_analysis.h"
 #include "core/review_coverage.h"
 #include "core/set_cover.h"
+#include "core/study.h"
 #include "graph/robustness.h"
 
 namespace wsd {
@@ -59,6 +61,28 @@ void PrintRobustness(const std::string& title,
 void PrintValueAddBins(const std::string& title,
                        const std::vector<ReviewBinStat>& bins,
                        std::ostream& out);
+
+/// Machine-readable rendering of an analysis result.
+enum class WireFormat {
+  kJson,
+  kTsv,
+};
+
+/// The machine-readable renderers. `wsdctl --out`, `wsdctl paper` and
+/// `wsdd` all write these strings, so a served TSV body and the file
+/// wsdctl writes at the same options are the same bytes. Deterministic;
+/// %.6f floats.
+std::string SpreadBody(Domain domain, Attribute attr,
+                       const CoverageCurve& curve, WireFormat format);
+std::string SetCoverBody(Domain domain, Attribute attr,
+                         const SetCoverCurve& curve, WireFormat format);
+/// One Table 2 row; its TSV form is GraphTableTsv of that one row.
+std::string GraphBody(const GraphMetricsRow& row, WireFormat format);
+/// Table 2 as TSV: the header, then one line per row.
+std::string GraphTableTsv(std::span<const GraphMetricsRow> rows);
+/// Figs 7/8 value-add bins (TSV), or the whole value study (JSON).
+std::string DemandBody(const Study::ValueStudyResult& result,
+                       WireFormat format);
 
 }  // namespace wsd
 

@@ -1,7 +1,9 @@
 #include "core/study.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
+#include <utility>
 
 #include "extract/attribute_registry.h"
 #include "util/logging.h"
@@ -51,6 +53,39 @@ StudyOptions StudyOptions::FromEnv() {
     WSD_LOG(kWarning) << "WSD_SCALE must be positive; using 1.0";
     options.scale = 1.0;
   }
+  return options;
+}
+
+StatusOr<StudyOptions> StudyOptions::FromFlags(const FlagParser& flags) {
+  StudyOptions options = FromEnv();
+  const auto invalid = [](const char* flag, const std::string& value,
+                          const char* want) {
+    return Status::InvalidArgument(StrFormat(
+        "invalid --%s value '%s' (want %s)", flag, value.c_str(), want));
+  };
+  for (auto [flag, field] : {std::pair{"entities", &options.num_entities},
+                             std::pair{"threads", &options.threads}}) {
+    if (auto v = flags.Get(flag)) {
+      const auto n = ParseUint64(*v);
+      if (!n.has_value() || *n > UINT32_MAX) {
+        return invalid(flag, *v, "an integer from 0 to 4294967295");
+      }
+      *field = static_cast<uint32_t>(*n);
+    }
+  }
+  if (auto v = flags.Get("seed")) {
+    const auto n = ParseUint64(*v);
+    if (!n.has_value()) return invalid("seed", *v, "an integer >= 0");
+    options.seed = *n;
+  }
+  if (auto v = flags.Get("scale")) {
+    const auto f = ParseDouble(*v);
+    if (!f.has_value() || !std::isfinite(*f) || *f <= 0) {
+      return invalid("scale", *v, "a finite number > 0");
+    }
+    options.scale = *f;
+  }
+  if (auto v = flags.Get("artifacts")) options.artifact_dir = *v;
   return options;
 }
 

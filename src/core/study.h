@@ -20,6 +20,7 @@
 #include "store/artifact_store.h"
 #include "traffic/demand.h"
 #include "traffic/review_model.h"
+#include "util/flags.h"
 #include "util/statusor.h"
 #include "util/thread_pool.h"
 
@@ -40,13 +41,22 @@ struct StudyOptions {
   bool legacy_scan = false;
   /// On-disk scan artifact cache (see src/store). Empty disables it:
   /// scans are then memoized per Study but never persisted. Set via
-  /// `--artifacts=DIR` in wsdctl or WSD_ARTIFACT_DIR.
+  /// `--artifacts=DIR` or WSD_ARTIFACT_DIR.
   std::string artifact_dir;
 
   /// Reads WSD_SCALE / WSD_ENTITIES / WSD_SEED / WSD_THREADS /
   /// WSD_LEGACY_SCAN / WSD_ARTIFACT_DIR from the environment on top of
-  /// the defaults.
+  /// the defaults. A malformed variable is logged and ignored.
   static StudyOptions FromEnv();
+
+  /// FromEnv(), then the --entities --seed --scale --threads --artifacts
+  /// flags on top: the one parser of the study flags that wsdctl, wsdd
+  /// and the benches share. A malformed flag is InvalidArgument naming
+  /// the flag and its value: a count that is not an integer up to
+  /// UINT32_MAX, a seed that is not a uint64, or a scale that is not a
+  /// finite number > 0.
+  [[nodiscard]] static StatusOr<StudyOptions> FromFlags(
+      const FlagParser& flags);
 
   /// num_entities with scale applied.
   uint32_t ScaledEntities() const;

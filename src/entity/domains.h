@@ -1,7 +1,9 @@
 #ifndef WSD_ENTITY_DOMAINS_H_
 #define WSD_ENTITY_DOMAINS_H_
 
+#include <optional>
 #include <span>
+#include <string>
 #include <string_view>
 
 #include "entity/name_gen.h"
@@ -40,7 +42,20 @@ enum class Attribute : int {
 
 constexpr int kNumDomains = static_cast<int>(Domain::kNumDomains);
 
+/// Display name for `d` ("Books", "Hotels & Lodging", ...).
 std::string_view DomainName(Domain d);
+
+/// The lowercase name `d` goes by in `--domain` flags and `?domain=`
+/// query parameters ("books", "hotels", ...).
+std::string_view DomainFlagName(Domain d);
+
+/// The domain whose flag name equals `name`, ignoring case; nullopt when
+/// none does.
+std::optional<Domain> FindDomainByName(std::string_view name);
+
+/// Every flag name in Table 1 order, joined by `separator`, for help and
+/// error text.
+std::string DomainVocabulary(char separator);
 
 /// Display name for `a` ("ISBN", "phone", ...). Defined by the attribute
 /// registry (extract/attribute_registry.cc); this is the display form, the

@@ -14,6 +14,7 @@
 #include "util/logging.h"
 #include "util/metrics.h"
 #include "util/rng.h"
+#include "util/string_util.h"
 
 namespace wsd {
 
@@ -463,9 +464,18 @@ std::span<const AttributeSpec> AllAttributeSpecs() { return kSpecs; }
 
 const AttributeSpec* FindAttributeByName(std::string_view name) {
   for (const AttributeSpec& spec : kSpecs) {
-    if (spec.name == name) return &spec;
+    if (EqualsIgnoreCase(spec.name, name)) return &spec;
   }
   return nullptr;
+}
+
+std::string AttributeVocabulary(char separator) {
+  std::string out;
+  for (const AttributeSpec& spec : kSpecs) {
+    if (!out.empty()) out += separator;
+    out += spec.name;
+  }
+  return out;
 }
 
 const AttributeSpec* FindAttributeByWireId(uint32_t wire_id) {

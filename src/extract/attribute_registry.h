@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <span>
+#include <string>
 #include <string_view>
 
 #include "corpus/site_model.h"
@@ -96,9 +97,13 @@ const AttributeSpec& GetAttributeSpec(Attribute a);
 /// All registered channels in wire-id order.
 std::span<const AttributeSpec> AllAttributeSpecs();
 
-/// Lookup by query-vocabulary name ("phone", "microdata", ...). Returns
-/// nullptr when unknown.
+/// Lookup by query-vocabulary name ("phone", "microdata", ...), ignoring
+/// case. Returns nullptr when unknown.
 const AttributeSpec* FindAttributeByName(std::string_view name);
+
+/// Every query-vocabulary name in wire-id order, joined by `separator`,
+/// for help and error text.
+std::string AttributeVocabulary(char separator);
 
 /// Lookup by stable wire id. Returns nullptr when unknown.
 const AttributeSpec* FindAttributeByWireId(uint32_t wire_id);

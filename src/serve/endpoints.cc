@@ -52,51 +52,8 @@ EndpointMetrics& MetricsFor(std::string_view path) {
 }
 
 // ---------------------------------------------------------------------
-// Parameter parsing (same vocabulary as the wsdctl flags).
-
-std::optional<Domain> ParseDomainName(std::string_view name) {
-  const std::string lower = ToLower(name);
-  if (lower == "books") return Domain::kBooks;
-  if (lower == "restaurants") return Domain::kRestaurants;
-  if (lower == "automotive") return Domain::kAutomotive;
-  if (lower == "banks") return Domain::kBanks;
-  if (lower == "libraries") return Domain::kLibraries;
-  if (lower == "schools") return Domain::kSchools;
-  if (lower == "hotels") return Domain::kHotels;
-  if (lower == "retail") return Domain::kRetail;
-  if (lower == "home") return Domain::kHomeGarden;
-  return std::nullopt;
-}
-
-std::optional<Attribute> ParseAttributeName(std::string_view name) {
-  // Registry-driven: every registered channel is automatically part of
-  // the serve vocabulary.
-  const AttributeSpec* spec = FindAttributeByName(ToLower(name));
-  if (spec == nullptr) return std::nullopt;
-  return spec->attr;
-}
-
-// "phone|homepage|isbn|reviews|microdata"-style vocabulary for error
-// messages, generated from the registry so it can never go stale.
-const std::string& AttributeVocabulary() {
-  static const std::string vocab = [] {
-    std::string out;
-    for (const AttributeSpec& spec : AllAttributeSpecs()) {
-      if (!out.empty()) out += '|';
-      out += spec.name;
-    }
-    return out;
-  }();
-  return vocab;
-}
-
-std::optional<TrafficSite> ParseSiteName(std::string_view name) {
-  const std::string lower = ToLower(name);
-  if (lower == "amazon") return TrafficSite::kAmazon;
-  if (lower == "yelp") return TrafficSite::kYelp;
-  if (lower == "imdb") return TrafficSite::kImdb;
-  return std::nullopt;
-}
+// Parameter parsing (the wsdctl flag vocabulary: entity/domains.h,
+// extract/attribute_registry.h, traffic/url_patterns.h).
 
 void Fail(HttpResponse* resp, int status, std::string_view message) {
   resp->status = status;
@@ -132,52 +89,30 @@ bool ParseSeedScale(const HttpRequest& req, const StudyOptions& base,
 
 bool ParseDomainAttr(const HttpRequest& req, Domain* domain, Attribute* attr,
                      HttpResponse* resp) {
-  const auto d = ParseDomainName(req.QueryParam("domain").value_or(""));
-  const auto a = ParseAttributeName(req.QueryParam("attr").value_or(""));
+  const auto d = FindDomainByName(req.QueryParam("domain").value_or(""));
+  const AttributeSpec* spec =
+      FindAttributeByName(req.QueryParam("attr").value_or(""));
   if (!d.has_value()) {
     Fail(resp, 400,
-         "missing or unknown domain parameter (books|restaurants|automotive|"
-         "banks|libraries|schools|hotels|retail|home)");
+         "missing or unknown domain parameter (" + DomainVocabulary('|') +
+             ")");
     return false;
   }
-  if (!a.has_value()) {
+  if (spec == nullptr) {
     Fail(resp, 400,
-         "missing or unknown attr parameter (" + AttributeVocabulary() + ")");
+         "missing or unknown attr parameter (" + AttributeVocabulary('|') +
+             ")");
     return false;
   }
-  if (!AttributeApplicableTo(GetAttributeSpec(*a), *d)) {
+  if (!AttributeApplicableTo(*spec, *d)) {
     Fail(resp, 400,
-         std::string(AttributeName(*a)) + " does not apply to domain " +
-             std::string(DomainName(*d)));
+         std::string(AttributeName(spec->attr)) +
+             " does not apply to domain " + std::string(DomainName(*d)));
     return false;
   }
   *domain = *d;
-  *attr = *a;
+  *attr = spec->attr;
   return true;
-}
-
-// ---------------------------------------------------------------------
-// JSON helpers. The values serialized here are ASCII identifiers and
-// bin labels; escaping covers quotes/backslashes/control bytes anyway.
-
-void AppendJsonString(std::string* out, std::string_view s) {
-  out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      case '\r': *out += "\\r"; break;
-      case '\t': *out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          AppendFormat(out, "\\u%04x", c);
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
 }
 
 // ---------------------------------------------------------------------
@@ -287,9 +222,11 @@ void HandleGraph(ServeContext& ctx, const HttpRequest& req,
 
 void HandleDemand(ServeContext& ctx, const HttpRequest& req,
                   HttpResponse* resp) {
-  const auto site = ParseSiteName(req.QueryParam("site").value_or("yelp"));
+  const auto site =
+      FindTrafficSiteByName(req.QueryParam("site").value_or("yelp"));
   if (!site.has_value()) {
-    Fail(resp, 400, "unknown site parameter (amazon|yelp|imdb)");
+    Fail(resp, 400,
+         "unknown site parameter (" + TrafficSiteVocabulary('|') + ")");
     return;
   }
   uint64_t seed = 0;
@@ -439,139 +376,6 @@ WireFormat NegotiateFormat(const HttpRequest& req) {
     }
   }
   return WireFormat::kJson;
-}
-
-std::string SpreadBody(Domain domain, Attribute attr,
-                       const CoverageCurve& curve, WireFormat format) {
-  std::string out;
-  if (format == WireFormat::kTsv) {
-    out = "t";
-    for (size_t k = 1; k <= curve.k_coverage.size(); ++k) {
-      AppendFormat(&out, "\tk%zu", k);
-    }
-    out += "\n";
-    for (size_t i = 0; i < curve.t_values.size(); ++i) {
-      AppendFormat(&out, "%u", curve.t_values[i]);
-      for (const auto& series : curve.k_coverage) {
-        AppendFormat(&out, "\t%.6f", series[i]);
-      }
-      out += "\n";
-    }
-    return out;
-  }
-  out = "{\"domain\":";
-  AppendJsonString(&out, DomainName(domain));
-  out += ",\"attr\":";
-  AppendJsonString(&out, AttributeName(attr));
-  AppendFormat(&out, ",\"num_entities\":%u,\"num_sites\":%u,\"t\":[",
-               curve.num_entities, curve.num_sites);
-  for (size_t i = 0; i < curve.t_values.size(); ++i) {
-    AppendFormat(&out, "%s%u", i ? "," : "", curve.t_values[i]);
-  }
-  out += "],\"k_coverage\":[";
-  for (size_t k = 0; k < curve.k_coverage.size(); ++k) {
-    out += k ? ",[" : "[";
-    const auto& series = curve.k_coverage[k];
-    for (size_t i = 0; i < series.size(); ++i) {
-      AppendFormat(&out, "%s%.6f", i ? "," : "", series[i]);
-    }
-    out += "]";
-  }
-  out += "]}\n";
-  return out;
-}
-
-std::string SetCoverBody(Domain domain, Attribute attr,
-                         const SetCoverCurve& curve, WireFormat format) {
-  std::string out;
-  if (format == WireFormat::kTsv) {
-    out = "t\tgreedy\tby_size\n";
-    for (size_t i = 0; i < curve.t_values.size(); ++i) {
-      AppendFormat(&out, "%u\t%.6f\t%.6f\n", curve.t_values[i],
-                   curve.greedy_coverage[i], curve.size_coverage[i]);
-    }
-    return out;
-  }
-  out = "{\"domain\":";
-  AppendJsonString(&out, DomainName(domain));
-  out += ",\"attr\":";
-  AppendJsonString(&out, AttributeName(attr));
-  AppendFormat(&out, ",\"num_entities\":%u,\"t\":[", curve.num_entities);
-  for (size_t i = 0; i < curve.t_values.size(); ++i) {
-    AppendFormat(&out, "%s%u", i ? "," : "", curve.t_values[i]);
-  }
-  out += "],\"greedy\":[";
-  for (size_t i = 0; i < curve.greedy_coverage.size(); ++i) {
-    AppendFormat(&out, "%s%.6f", i ? "," : "", curve.greedy_coverage[i]);
-  }
-  out += "],\"by_size\":[";
-  for (size_t i = 0; i < curve.size_coverage.size(); ++i) {
-    AppendFormat(&out, "%s%.6f", i ? "," : "", curve.size_coverage[i]);
-  }
-  out += "]}\n";
-  return out;
-}
-
-std::string GraphBody(const GraphMetricsRow& row, WireFormat format) {
-  std::string out;
-  if (format == WireFormat::kTsv) {
-    out = "domain\tattr\tavg_sites_per_entity\tdiameter\tcomponents\t"
-          "largest_pct\n";
-    AppendFormat(&out, "%s\t%s\t%.2f\t%u\t%u\t%.4f\n",
-                 std::string(DomainName(row.domain)).c_str(),
-                 std::string(AttributeName(row.attr)).c_str(),
-                 row.avg_sites_per_entity, row.diameter, row.num_components,
-                 row.largest_component_entity_pct);
-    return out;
-  }
-  out = "{\"domain\":";
-  AppendJsonString(&out, DomainName(row.domain));
-  out += ",\"attr\":";
-  AppendJsonString(&out, AttributeName(row.attr));
-  AppendFormat(&out,
-               ",\"avg_sites_per_entity\":%.2f,\"diameter\":%u,"
-               "\"components\":%u,\"largest_pct\":%.4f,"
-               "\"covered_entities\":%u,\"sites\":%u,\"edges\":%llu}\n",
-               row.avg_sites_per_entity, row.diameter, row.num_components,
-               row.largest_component_entity_pct, row.num_covered_entities,
-               row.num_sites,
-               static_cast<unsigned long long>(row.num_edges));
-  return out;
-}
-
-std::string DemandBody(const Study::ValueStudyResult& result,
-                       WireFormat format) {
-  std::string out;
-  if (format == WireFormat::kTsv) {
-    out = "bin\tentities\tsearch_z\tbrowse_z\trel_va_search\trel_va_browse\n";
-    for (const auto& bin : result.bins) {
-      AppendFormat(&out, "%s\t%llu\t%.6f\t%.6f\t%.6f\t%.6f\n",
-                   bin.label.c_str(),
-                   static_cast<unsigned long long>(bin.num_entities),
-                   bin.mean_search_z, bin.mean_browse_z, bin.rel_va_search,
-                   bin.rel_va_browse);
-    }
-    return out;
-  }
-  out = "{\"site\":";
-  AppendJsonString(&out, TrafficSiteName(result.site));
-  AppendFormat(&out, ",\"head20_search\":%.6f,\"head20_browse\":%.6f,\"bins\":[",
-               result.head20_search, result.head20_browse);
-  bool first = true;
-  for (const auto& bin : result.bins) {
-    if (!first) out += ",";
-    first = false;
-    out += "{\"bin\":";
-    AppendJsonString(&out, bin.label);
-    AppendFormat(&out,
-                 ",\"entities\":%llu,\"search_z\":%.6f,\"browse_z\":%.6f,"
-                 "\"rel_va_search\":%.6f,\"rel_va_browse\":%.6f}",
-                 static_cast<unsigned long long>(bin.num_entities),
-                 bin.mean_search_z, bin.mean_browse_z, bin.rel_va_search,
-                 bin.rel_va_browse);
-  }
-  out += "]}\n";
-  return out;
 }
 
 void HandleRequest(ServeContext& ctx, const HttpRequest& req,

@@ -1,9 +1,7 @@
 /// \file endpoints.h
 /// Request routing and response rendering for `wsdd`. Pure logic over
 /// parsed HttpRequests — no sockets — so the whole analysis surface is
-/// unit-testable without a running server. The *Body serializers are
-/// exposed so tests can assert that a served response is byte-identical
-/// to a direct Study call rendered through the same function.
+/// unit-testable without a running server.
 ///
 /// Endpoints (GET only; anything else is 405 with an Allow header):
 ///   /healthz   liveness probe, text/plain "ok"
@@ -13,8 +11,9 @@
 ///   /graph     Table 2 metrics row     ?domain=&attr=[&seed=][&scale=]
 ///   /demand    §4 value study          ?site=[&seed=][&scale=]
 /// Analysis endpoints return JSON by default; `?format=tsv` or an
-/// `Accept: text/tab-separated-values` header selects the TSV rendering
-/// (identical columns to `wsdctl --out`).
+/// `Accept: text/tab-separated-values` header selects the TSV rendering.
+/// Both come from the core/report.h renderers that `wsdctl --out` writes
+/// with, so a TSV body is byte-identical to the wsdctl file.
 
 #ifndef WSD_SERVE_ENDPOINTS_H_
 #define WSD_SERVE_ENDPOINTS_H_
@@ -25,18 +24,13 @@
 #include <string>
 #include <tuple>
 
+#include "core/report.h"
 #include "core/study.h"
 #include "serve/http.h"
 #include "serve/scan_cache.h"
 #include "util/mutex.h"
 
 namespace wsd {
-
-/// Response rendering selected by content negotiation.
-enum class WireFormat {
-  kJson,
-  kTsv,
-};
 
 /// LRU memo of fully rendered analysis responses, keyed by (request
 /// target, negotiated format). Safe with no invalidation: every analysis
@@ -123,16 +117,6 @@ void HandleRequest(ServeContext& ctx, const HttpRequest& req,
 /// wins; otherwise an Accept header naming a TSV media type selects TSV;
 /// default JSON.
 WireFormat NegotiateFormat(const HttpRequest& req);
-
-/// Pure response renderers (deterministic; %.6f floats, matching the
-/// wsdctl TSV column layout).
-std::string SpreadBody(Domain domain, Attribute attr,
-                       const CoverageCurve& curve, WireFormat format);
-std::string SetCoverBody(Domain domain, Attribute attr,
-                         const SetCoverCurve& curve, WireFormat format);
-std::string GraphBody(const GraphMetricsRow& row, WireFormat format);
-std::string DemandBody(const Study::ValueStudyResult& result,
-                       WireFormat format);
 
 }  // namespace wsd
 

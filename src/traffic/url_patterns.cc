@@ -54,6 +54,23 @@ std::string_view TrafficSiteName(TrafficSite site) {
   return "Unknown";
 }
 
+std::optional<TrafficSite> FindTrafficSiteByName(std::string_view name) {
+  for (int i = 0; i < static_cast<int>(TrafficSite::kNumSites); ++i) {
+    const auto site = static_cast<TrafficSite>(i);
+    if (EqualsIgnoreCase(TrafficSiteName(site), name)) return site;
+  }
+  return std::nullopt;
+}
+
+std::string TrafficSiteVocabulary(char separator) {
+  std::string out;
+  for (int i = 0; i < static_cast<int>(TrafficSite::kNumSites); ++i) {
+    if (!out.empty()) out += separator;
+    out += ToLower(TrafficSiteName(static_cast<TrafficSite>(i)));
+  }
+  return out;
+}
+
 std::string EntityUrl(TrafficSite site, uint32_t entity_index,
                       uint32_t variant) {
   std::string url;

@@ -16,7 +16,16 @@ enum class TrafficSite : int {
   kNumSites = 3,
 };
 
+/// Display name for `site` ("Amazon", "Yelp", "IMDb").
 std::string_view TrafficSiteName(TrafficSite site);
+
+/// The site whose TrafficSiteName equals `name`, ignoring case; nullopt
+/// when none does.
+std::optional<TrafficSite> FindTrafficSiteByName(std::string_view name);
+
+/// Every site name, lowercased and joined by `separator`, for help and
+/// error text.
+std::string TrafficSiteVocabulary(char separator);
 
 /// A URL resolved to the structured entity it denotes.
 struct EntityUrlKey {

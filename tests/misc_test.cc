@@ -1,18 +1,22 @@
 // Coverage for the remaining corners: name generation, logging levels,
-// page sizing, environment-driven options, diameter budget exhaustion,
-// and browse-vs-search month semantics.
+// page sizing, environment- and flag-driven options, diameter budget
+// exhaustion, and browse-vs-search month semantics.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdlib>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/study.h"
 #include "corpus/page_gen.h"
 #include "entity/name_gen.h"
 #include "graph/diameter.h"
 #include "traffic/traffic_log.h"
+#include "util/flags.h"
 #include "util/logging.h"
 #include "util/string_util.h"
 #include "util/thread_pool.h"
@@ -126,6 +130,76 @@ TEST(StudyOptionsEnvTest, ReadsAndValidatesEnvironment) {
   unsetenv("WSD_SCALE");
   unsetenv("WSD_ENTITIES");
   unsetenv("WSD_SEED");
+  unsetenv("WSD_THREADS");
+}
+
+// ---------- StudyOptions::FromFlags ----------
+
+StatusOr<StudyOptions> OptionsFromArgs(std::vector<std::string> args) {
+  args.insert(args.begin(), "prog");
+  std::vector<char*> argv;
+  for (std::string& arg : args) argv.push_back(arg.data());
+  return StudyOptions::FromFlags(
+      FlagParser(static_cast<int>(argv.size()), argv.data()));
+}
+
+TEST(StudyOptionsFlagsTest, FlagsBeatEnvAndMalformedValuesAreRejected) {
+  setenv("WSD_ENTITIES", "777", 1);
+  setenv("WSD_SEED", "99", 1);
+  setenv("WSD_SCALE", "0.5", 1);
+  setenv("WSD_THREADS", "3", 1);
+
+  auto env_only = OptionsFromArgs({});
+  ASSERT_TRUE(env_only.ok()) << env_only.status();
+  EXPECT_EQ(env_only->num_entities, 777u);
+  EXPECT_EQ(env_only->seed, 99u);
+  EXPECT_DOUBLE_EQ(env_only->scale, 0.5);
+  EXPECT_EQ(env_only->threads, 3u);
+
+  auto flags = OptionsFromArgs({"--entities", "400", "--seed=3",
+                                "--scale", "0.05", "--threads", "2",
+                                "--artifacts=/tmp/wsd_art"});
+  ASSERT_TRUE(flags.ok()) << flags.status();
+  EXPECT_EQ(flags->num_entities, 400u);
+  EXPECT_EQ(flags->seed, 3u);
+  EXPECT_DOUBLE_EQ(flags->scale, 0.05);
+  EXPECT_EQ(flags->threads, 2u);
+  EXPECT_EQ(flags->artifact_dir, "/tmp/wsd_art");
+
+  // --threads 0 still means hardware concurrency.
+  auto zero = OptionsFromArgs({"--threads", "0"});
+  ASSERT_TRUE(zero.ok()) << zero.status();
+  EXPECT_EQ(zero->threads, 0u);
+
+  for (const auto& [flag, value] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"entities", "4OO"},
+           {"entities", "4294967296"},
+           {"entities", "-1"},
+           {"seed", "3x"},
+           {"seed", "18446744073709551616"},
+           {"scale", "0,05"},
+           {"scale", "0"},
+           {"scale", "-0.5"},
+           {"scale", "inf"},
+           {"scale", "nan"},
+           {"threads", "4294967296"},
+           {"threads", "two"},
+           {"threads", ""}}) {
+    const auto parsed = OptionsFromArgs({"--" + flag + "=" + value});
+    ASSERT_FALSE(parsed.ok()) << flag << "=" << value;
+    EXPECT_TRUE(parsed.status().IsInvalidArgument()) << parsed.status();
+    // The message names the flag and the value.
+    EXPECT_NE(parsed.status().message().find("--" + flag), std::string::npos)
+        << parsed.status();
+    EXPECT_NE(parsed.status().message().find("'" + value + "'"),
+              std::string::npos)
+        << parsed.status();
+  }
+
+  unsetenv("WSD_ENTITIES");
+  unsetenv("WSD_SEED");
+  unsetenv("WSD_SCALE");
   unsetenv("WSD_THREADS");
 }
 

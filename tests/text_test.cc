@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <string_view>
 
 #include "corpus/web_cache.h"
@@ -203,46 +200,6 @@ TEST(NaiveBayesTest, UnknownTokensFallBackToPrior) {
   for (int i = 0; i < 10; ++i) model.Train({"b", "c", "d"}, false);
   ASSERT_TRUE(model.Finalize().ok());
   EXPECT_TRUE(model.Predict({"zzz", "qqq"}));
-}
-
-TEST(NaiveBayesTest, SaveLoadRoundTrip) {
-  Rng rng(5);
-  NaiveBayesClassifier model;
-  for (const LabeledDoc& doc : MakeTrainingCorpus(rng, 50)) {
-    model.Train(TokenizeForClassification(doc.content), doc.is_review);
-  }
-  ASSERT_TRUE(model.Finalize().ok());
-
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "wsd_nb_test.model")
-          .string();
-  ASSERT_TRUE(model.Save(path).ok());
-  auto loaded = NaiveBayesClassifier::Load(path);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded->vocabulary_size(), model.vocabulary_size());
-
-  // Identical scores on fresh documents.
-  Rng rng2(77);
-  for (const LabeledDoc& doc : MakeTrainingCorpus(rng2, 20)) {
-    const auto tokens = TokenizeForClassification(doc.content);
-    EXPECT_NEAR(model.PredictLogOdds(tokens),
-                loaded->PredictLogOdds(tokens), 1e-9);
-  }
-  std::remove(path.c_str());
-}
-
-TEST(NaiveBayesTest, LoadRejectsCorruption) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "wsd_nb_bad.model")
-          .string();
-  {
-    std::ofstream out(path);
-    out << "not_a_model\n";
-  }
-  EXPECT_TRUE(NaiveBayesClassifier::Load(path).status().IsCorruption());
-  std::remove(path.c_str());
-  EXPECT_TRUE(NaiveBayesClassifier::Load("/nonexistent/m").status()
-                  .IsIOError());
 }
 
 TEST(ReviewLmTest, GeneratorsProduceNonEmptyDistinctStyles) {

@@ -1,9 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <filesystem>
-
-#include "util/csv.h"
 #include "util/hash.h"
 #include "util/histogram.h"
 #include "util/string_util.h"
@@ -116,46 +112,6 @@ TEST(HashTest, Fnv1aIsStable) {
 TEST(HashTest, MixAndCombineSpread) {
   EXPECT_NE(MixHash64(1), MixHash64(2));
   EXPECT_NE(HashCombine(1, 2), HashCombine(2, 1));
-}
-
-// ---------- csv ----------
-
-TEST(CsvTest, EscapeField) {
-  EXPECT_EQ(CsvWriter::EscapeField("plain", ','), "plain");
-  EXPECT_EQ(CsvWriter::EscapeField("a,b", ','), "\"a,b\"");
-  EXPECT_EQ(CsvWriter::EscapeField("say \"hi\"", ','),
-            "\"say \"\"hi\"\"\"");
-}
-
-TEST(CsvTest, ParseLineHandlesQuotes) {
-  auto fields = ParseCsvLine("a,\"b,c\",\"d\"\"e\"", ',');
-  ASSERT_EQ(fields.size(), 3u);
-  EXPECT_EQ(fields[0], "a");
-  EXPECT_EQ(fields[1], "b,c");
-  EXPECT_EQ(fields[2], "d\"e");
-}
-
-TEST(CsvTest, WriteReadRoundTrip) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "wsd_csv_test.tsv").string();
-  CsvWriter writer('\t');
-  ASSERT_TRUE(writer.Open(path).ok());
-  writer.WriteRow({"h1", "h2"});
-  writer.WriteRow({"with\ttab", "with\"quote"});
-  ASSERT_TRUE(writer.Close().ok());
-
-  auto rows = ReadCsvFile(path, '\t');
-  ASSERT_TRUE(rows.ok());
-  ASSERT_EQ(rows->size(), 2u);
-  EXPECT_EQ((*rows)[1][0], "with\ttab");
-  EXPECT_EQ((*rows)[1][1], "with\"quote");
-  std::remove(path.c_str());
-}
-
-TEST(CsvTest, MissingFileIsIOError) {
-  EXPECT_TRUE(ReadCsvFile("/nonexistent/q.csv", ',').status().IsIOError());
-  CsvWriter writer;
-  EXPECT_TRUE(writer.Open("/nonexistent/dir/q.csv").IsIOError());
 }
 
 // ---------- histogram ----------

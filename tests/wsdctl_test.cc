@@ -1,6 +1,7 @@
 // Integration smoke tests for the wsdctl CLI: exit codes, TSV output,
-// and the gen-cache/scan-cache loop, exercised through the real binary.
-// Skipped gracefully if the tools target was not built.
+// the pinned `paper` outputs, and the gen-cache/scan-cache loop,
+// exercised through the real binary. Skipped gracefully if the tools
+// target was not built.
 
 #include <gtest/gtest.h>
 
@@ -9,10 +10,14 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <string>
 
 #include "extract/host_table.h"
+#include "serve/endpoints.h"
 #include "store/snapshot.h"
+#include "util/hash.h"
+#include "util/string_util.h"
 
 namespace wsd {
 namespace {
@@ -77,6 +82,28 @@ TEST(WsdctlTest, SpreadWritesTsv) {
   while (std::getline(in, line)) ++rows;
   EXPECT_GT(rows, 3);
   std::remove(out.c_str());
+}
+
+TEST(WsdctlTest, MalformedNumericFlagIsUsageError) {
+  SKIP_WITHOUT_CLI();
+  // None of these may fall back to the env or default value: the study
+  // would run at a size nobody asked for. The usage error comes before
+  // any scan.
+  for (const char* flags :
+       {"--entities 4OO --scale 0.05 --seed 3",
+        "--entities 400 --scale 0,05 --seed 3",
+        "--entities 400 --scale 0 --seed 3",
+        "--entities 400 --scale=-1 --seed 3",
+        "--entities 400 --scale nan --seed 3",
+        "--entities 400 --scale 0.05 --seed 3x",
+        "--entities 4294967296 --scale 0.05 --seed 3",
+        "--entities 400 --scale 0.05 --seed 3 --threads 4294967296",
+        "--entities 400 --scale 0.05 --seed 3 --threads=-1"}) {
+    EXPECT_EQ(RunCli(std::string("scan --domain banks --attr phone ") +
+                     flags),
+              2)
+        << flags;
+  }
 }
 
 TEST(WsdctlTest, GenCacheThenScanCache) {
@@ -169,6 +196,137 @@ TEST(WsdctlTest, ScanWritesLoadableSnapshot) {
   }
   std::remove(snap.c_str());
   std::remove(tsv.c_str());
+}
+
+// `wsdctl paper` at a small configuration, every file pinned by its XXH64
+// digest: a change to any value, format or column of the 28 files fails
+// here with the file's name. On a mismatch the message prints the
+// current table in the form below.
+const char kPaperFlags[] = "--entities 400 --scale 0.05 --seed 3";
+
+const std::map<std::string, uint64_t>& PinnedPaperDigests() {
+  static const std::map<std::string, uint64_t> kDigests = {
+      {"fig1_phone_automotive.tsv", 0xb7ed4436fd5daf8aULL},
+      {"fig1_phone_banks.tsv", 0x591038bb35f9f8ffULL},
+      {"fig1_phone_home___garden.tsv", 0xb7ed4436fd5daf8aULL},
+      {"fig1_phone_hotels___lodging.tsv", 0x1d267509758f75edULL},
+      {"fig1_phone_libraries.tsv", 0x2638698ef983d56aULL},
+      {"fig1_phone_restaurants.tsv", 0x2c744ea15ddda2f4ULL},
+      {"fig1_phone_retail___shopping.tsv", 0x2c0dd6b4941ca9d2ULL},
+      {"fig1_phone_schools.tsv", 0x2a822e87213083cbULL},
+      {"fig2_homepage_automotive.tsv", 0x2cb840d2ebd879ecULL},
+      {"fig2_homepage_banks.tsv", 0xa0039fc0e58a0db1ULL},
+      {"fig2_homepage_home___garden.tsv", 0x499fb4fa844a8e93ULL},
+      {"fig2_homepage_hotels___lodging.tsv", 0xb87d05e46777f5e0ULL},
+      {"fig2_homepage_libraries.tsv", 0xd9e1f004e0a22fa4ULL},
+      {"fig2_homepage_restaurants.tsv", 0x3b05235e6f34e248ULL},
+      {"fig2_homepage_retail___shopping.tsv", 0x50e48be0bccdf6beULL},
+      {"fig2_homepage_schools.tsv", 0x0a74642afadf43a4ULL},
+      {"fig3_isbn_books.tsv", 0xa93ee2abccf91a03ULL},
+      {"fig4a_reviews_sites.tsv", 0x9a66012c0b799d3bULL},
+      {"fig4b_reviews_pages.tsv", 0x0a4103da2d31fd61ULL},
+      {"fig5_setcover.tsv", 0xa10d33e09a3b4531ULL},
+      {"fig6_demand_amazon.tsv", 0xf1a837a214a42d7cULL},
+      {"fig6_demand_imdb.tsv", 0x8285396d45649a5bULL},
+      {"fig6_demand_yelp.tsv", 0x3f188e4bd152276aULL},
+      {"fig7_fig8_value_amazon.tsv", 0x48bf4b37eebe969eULL},
+      {"fig7_fig8_value_imdb.tsv", 0xb36ce511ff7dc2fbULL},
+      {"fig7_fig8_value_yelp.tsv", 0x0be3b77c27eb5d58ULL},
+      {"fig9_robustness.tsv", 0x982b4021f9928a65ULL},
+      {"table2_graphs.tsv", 0xe94d651fe451ec7aULL},
+  };
+  return kDigests;
+}
+
+TEST(WsdctlTest, PaperOutputsArePinned) {
+  SKIP_WITHOUT_CLI();
+  const fs::path dir = fs::temp_directory_path() / "wsdctl_paper_pinned";
+  fs::remove_all(dir);
+  ASSERT_TRUE(fs::create_directories(dir));
+  ASSERT_EQ(RunCli(std::string("paper ") + kPaperFlags + " --outdir " +
+                   dir.string()),
+            0);
+  std::map<std::string, uint64_t> digests;
+  std::string table;  // the recorded form, printed on a mismatch
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    digests[name] = XxHash64(ReadFile(entry.path().string()));
+  }
+  for (const auto& [name, digest] : digests) {
+    AppendFormat(&table, "      {\"%s\", 0x%016llxULL},\n", name.c_str(),
+                 static_cast<unsigned long long>(digest));
+  }
+  EXPECT_EQ(digests.size(), 28u);
+  EXPECT_EQ(digests, PinnedPaperDigests()) << table;
+  fs::remove_all(dir);
+}
+
+// Every `wsdctl paper` write goes through one checked write: a file that
+// cannot be written exits 1 and names its path on stderr.
+TEST(WsdctlTest, PaperReportsUnwritableOutput) {
+  SKIP_WITHOUT_CLI();
+  const fs::path dir = fs::temp_directory_path() / "wsdctl_paper_blocked";
+  for (const char* blocked :
+       {"fig3_isbn_books.tsv", "fig5_setcover.tsv", "table2_graphs.tsv"}) {
+    fs::remove_all(dir);
+    // A directory where the TSV should go makes the write fail.
+    ASSERT_TRUE(fs::create_directories(dir / blocked));
+    const std::string err = (dir / "stderr.txt").string();
+    EXPECT_EQ(RunCli(std::string("paper ") + kPaperFlags + " --outdir " +
+                         dir.string(),
+                     err),
+              1)
+        << blocked;
+    EXPECT_NE(ReadFile(err).find((dir / blocked).string()),
+              std::string::npos)
+        << blocked << ": " << ReadFile(err);
+  }
+  fs::remove_all(dir);
+}
+
+// wsdctl's --out files and wsdd's TSV bodies come from the same
+// renderers (core/report.h), so at the same options they are the same
+// bytes.
+TEST(WsdctlTest, TsvOutMatchesServedBody) {
+  SKIP_WITHOUT_CLI();
+  StudyOptions base;
+  base.num_entities = 400;
+  base.scale = 0.05;
+  base.seed = 3;
+  base.threads = 2;
+  ScanHandleCache cache(base, 64u * 1024 * 1024);
+  ServeContext ctx;
+  ctx.base = base;
+  ctx.cache = &cache;
+  const std::string out =
+      (fs::temp_directory_path() / "wsdctl_served.tsv").string();
+  const struct {
+    const char* command;
+    const char* target;
+  } kCases[] = {
+      {"spread --domain banks --attr phone",
+       "/spread?domain=banks&attr=phone&format=tsv"},
+      {"setcover --domain restaurants --attr homepage",
+       "/setcover?domain=restaurants&attr=homepage&format=tsv"},
+      {"graph --domain banks --attr phone",
+       "/graph?domain=banks&attr=phone&format=tsv"},
+      {"value --site yelp", "/demand?site=yelp&format=tsv"},
+  };
+  for (const auto& c : kCases) {
+    std::remove(out.c_str());
+    ASSERT_EQ(RunCli(std::string(c.command) + " " + kPaperFlags +
+                     " --out " + out),
+              0)
+        << c.command;
+    const auto parsed = ParseHttpRequest(
+        std::string("GET ") + c.target + " HTTP/1.1\r\n\r\n", HttpLimits());
+    ASSERT_EQ(parsed.state, HttpParseState::kOk) << c.target;
+    HttpResponse resp;
+    HandleRequest(ctx, parsed.request, &resp);
+    ASSERT_EQ(resp.status, 200) << c.target << ": " << resp.body;
+    EXPECT_EQ(ReadFile(out), resp.body) << c.command;
+  }
+  std::remove(out.c_str());
 }
 
 // ---------------------------------------------------------------------

@@ -810,12 +810,11 @@ def run_lint(root: str, update_frozen: bool = False):
 SELF_TEST_CASES = {
     # rule id -> (relative path, file contents that must trigger it)
     "discarded-status": ("src/util/bad_status.cc", """
-#include "util/csv.h"
+#include "util/io_util.h"
 namespace wsd {
 void Leak() {
-  CsvWriter w;
-  w.Open("x");
-  (void)w.Close();
+  WriteFileAtomic("x", "y");
+  (void)EnsureDirectory("d");
 }
 }  // namespace wsd
 """),
@@ -926,10 +925,10 @@ def self_test(repo_root: str) -> int:
     failures = []
     for rule, (rel, contents) in sorted(SELF_TEST_CASES.items()):
         with tempfile.TemporaryDirectory(prefix="wsd_lint_selftest_") as tmp:
-            # Minimal tree: the status/csv headers the cases include, plus
+            # Minimal tree: the status/io headers the cases include, plus
             # an up-to-date lock file so only the seeded issue fires.
             for support in ("src/util/status.h", "src/util/statusor.h",
-                            "src/util/csv.h"):
+                            "src/util/io_util.h"):
                 src = os.path.join(repo_root, support)
                 dst = os.path.join(tmp, support)
                 os.makedirs(os.path.dirname(dst), exist_ok=True)

@@ -22,17 +22,20 @@
 //               --entities=N --seed=N --scale=F --out=<file.tsv>
 //               --artifacts=<dir> --metrics_out=<file.json>
 // Every command prints a human table to stdout; --out additionally dumps
-// machine-readable TSV and --metrics_out dumps the metrics registry as
-// JSON after the run (see docs/METRICS.md). --artifacts enables the
-// on-disk scan-artifact cache (see docs/ARCHITECTURE.md, "Artifact
-// store"): identical reruns then skip their scans entirely.
+// machine-readable TSV (rendered by core/report.h: the bytes wsdd serves
+// for the same options) and --metrics_out dumps the metrics registry as
+// JSON after the run (see docs/METRICS.md). A malformed --entities,
+// --seed, --scale or --threads value is a usage error (exit 2).
+// --artifacts enables the on-disk scan-artifact cache (see
+// docs/ARCHITECTURE.md, "Artifact store"): identical reruns then skip
+// their scans entirely.
 
-#include <cstdio>
-#include <fstream>
+#include <algorithm>
 #include <iostream>
-#include <map>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/bootstrap.h"
@@ -45,7 +48,7 @@
 #include "util/flags.h"
 #include "corpus/web_cache.h"
 #include "graph/diameter.h"
-#include "util/csv.h"
+#include "util/io_util.h"
 #include "util/metrics.h"
 #include "util/string_util.h"
 
@@ -54,81 +57,53 @@ namespace {
 
 using Args = FlagParser;
 
-std::optional<Domain> ParseDomain(std::string_view name) {
-  static const std::map<std::string, Domain> kNames = {
-      {"books", Domain::kBooks},
-      {"restaurants", Domain::kRestaurants},
-      {"automotive", Domain::kAutomotive},
-      {"banks", Domain::kBanks},
-      {"libraries", Domain::kLibraries},
-      {"schools", Domain::kSchools},
-      {"hotels", Domain::kHotels},
-      {"retail", Domain::kRetail},
-      {"home", Domain::kHomeGarden},
-  };
-  auto it = kNames.find(ToLower(name));
-  if (it == kNames.end()) return std::nullopt;
-  return it->second;
+// Prints a failed status to stderr; true when `status` is OK.
+bool Ok(const Status& status) {
+  if (!status.ok()) std::cerr << status << "\n";
+  return status.ok();
 }
 
-std::optional<Attribute> ParseAttribute(std::string_view name) {
-  // Registry-driven: a newly registered channel is automatically part of
-  // the CLI vocabulary.
-  const AttributeSpec* spec = FindAttributeByName(ToLower(name));
-  if (spec == nullptr) return std::nullopt;
-  return spec->attr;
+template <typename T>
+bool Ok(const StatusOr<T>& result) {
+  return Ok(result.status());
 }
 
-// The --attr vocabulary for help/error text, from the registry.
-std::string AttributeVocabulary() {
-  std::string out;
-  for (const AttributeSpec& spec : AllAttributeSpecs()) {
-    if (!out.empty()) out += ' ';
-    out += spec.name;
+// The --domain/--attr pair most commands scan. Unknown names are a usage
+// error, printed here.
+struct Pair {
+  Domain domain;
+  Attribute attr;
+};
+
+std::optional<Pair> ParsePair(const Args& args,
+                              Attribute default_attr = Attribute::kPhone) {
+  std::optional<Domain> domain = Domain::kRestaurants;
+  if (auto v = args.Get("domain")) domain = FindDomainByName(*v);
+  const AttributeSpec* spec = &GetAttributeSpec(default_attr);
+  if (auto v = args.Get("attr")) spec = FindAttributeByName(*v);
+  if (!domain.has_value() || spec == nullptr) {
+    std::cerr << "unknown --domain or --attr\n";
+    return std::nullopt;
   }
-  return out;
+  return Pair{*domain, spec->attr};
 }
 
-std::optional<TrafficSite> ParseSite(std::string_view name) {
-  const std::string lower = ToLower(name);
-  if (lower == "amazon") return TrafficSite::kAmazon;
-  if (lower == "yelp") return TrafficSite::kYelp;
-  if (lower == "imdb") return TrafficSite::kImdb;
-  return std::nullopt;
+// Every text file wsdctl writes goes through here: atomically, and a
+// failure is reported with the path.
+bool WriteOutput(const std::string& path, std::string_view data) {
+  const Status status = WriteFileAtomic(path, data);
+  if (!status.ok()) std::cerr << path << ": " << status << "\n";
+  return status.ok();
 }
 
-StudyOptions OptionsFrom(const Args& args) {
-  StudyOptions options = StudyOptions::FromEnv();
-  if (auto v = args.Get("entities")) {
-    if (auto n = ParseUint64(*v)) {
-      options.num_entities = static_cast<uint32_t>(*n);
-    }
-  }
-  if (auto v = args.Get("seed")) {
-    if (auto n = ParseUint64(*v)) options.seed = *n;
-  }
-  if (auto v = args.Get("scale")) {
-    if (auto f = ParseDouble(*v); f && *f > 0) options.scale = *f;
-  }
-  if (auto v = args.Get("threads")) {
-    if (auto n = ParseUint64(*v)) {
-      options.threads = static_cast<uint32_t>(*n);
-    }
-  }
-  if (auto v = args.Get("artifacts")) options.artifact_dir = *v;
-  return options;
-}
-
-Status MaybeWriteTsv(const Args& args,
-                     const std::vector<std::vector<std::string>>& rows) {
-  auto out = args.Get("out");
-  if (!out.has_value()) return Status::OK();
-  CsvWriter writer('\t');
-  WSD_RETURN_IF_ERROR(writer.Open(*out));
-  for (const auto& row : rows) writer.WriteRow(row);
-  WSD_RETURN_IF_ERROR(writer.Close());
-  std::cout << "\nwrote " << rows.size() << " rows to " << *out << "\n";
-  return Status::OK();
+// Writes `tsv` to the --out file when one is given; returns the exit code.
+int MaybeWriteTsv(const Args& args, std::string_view tsv) {
+  const auto out = args.Get("out");
+  if (!out.has_value()) return 0;
+  if (!WriteOutput(*out, tsv)) return 1;
+  std::cout << "\nwrote " << std::count(tsv.begin(), tsv.end(), '\n')
+            << " rows to " << *out << "\n";
+  return 0;
 }
 
 // ---------------------------------------------------------------------
@@ -136,261 +111,160 @@ Status MaybeWriteTsv(const Args& args,
 
 int CmdDomains(const Args& args) {
   TextTable table({"domain", "flag value", "attributes"});
-  static const char* kFlagNames[] = {"books", "restaurants", "automotive",
-                                     "banks", "libraries",   "schools",
-                                     "hotels", "retail",     "home"};
-  std::vector<std::vector<std::string>> tsv = {
-      {"domain", "flag", "attributes"}};
-  int i = 0;
+  std::string tsv = "domain\tflag\tattributes\n";
   for (Domain d : AllDomains()) {
     std::string attrs;
     for (Attribute a : StudiedAttributes(d)) {
       if (!attrs.empty()) attrs += ",";
       attrs += std::string(AttributeName(a));
     }
-    table.AddRow({std::string(DomainName(d)), kFlagNames[i], attrs});
-    tsv.push_back({std::string(DomainName(d)), kFlagNames[i], attrs});
-    ++i;
+    const std::string name(DomainName(d));
+    const std::string flag(DomainFlagName(d));
+    table.AddRow({name, flag, attrs});
+    tsv += name + "\t" + flag + "\t" + attrs + "\n";
   }
   table.Print(std::cout);
-  const Status status = MaybeWriteTsv(args, tsv);
-  if (!status.ok()) std::cerr << status << "\n";
-  return status.ok() ? 0 : 1;
+  return MaybeWriteTsv(args, tsv);
 }
 
-int CmdSpread(const Args& args) {
-  const auto domain = ParseDomain(args.GetOr("domain", "restaurants"));
-  const auto attr = ParseAttribute(args.GetOr("attr", "phone"));
-  if (!domain || !attr) {
-    std::cerr << "unknown --domain or --attr\n";
-    return 2;
-  }
-  Study study(OptionsFrom(args));
-  auto scan = study.Scan(*domain, *attr);
-  if (!scan.ok()) {
-    std::cerr << scan.status() << "\n";
-    return 1;
-  }
+int CmdSpread(const Args& args, const StudyOptions& options) {
+  const auto pair = ParsePair(args);
+  if (!pair) return 2;
+  Study study(options);
+  auto scan = study.Scan(pair->domain, pair->attr);
+  if (!Ok(scan)) return 1;
   auto spread = study.RunSpread(*scan);
-  if (!spread.ok()) {
-    std::cerr << spread.status() << "\n";
-    return 1;
-  }
+  if (!Ok(spread)) return 1;
   PrintCoverageCurve(
       StrFormat("%s - %s spread",
-                std::string(DomainName(*domain)).c_str(),
-                std::string(AttributeName(*attr)).c_str()),
+                std::string(DomainName(pair->domain)).c_str(),
+                std::string(AttributeName(pair->attr)).c_str()),
       spread->curve, std::cout);
-
-  std::vector<std::vector<std::string>> tsv;
-  std::vector<std::string> header = {"t"};
-  for (size_t k = 1; k <= spread->curve.k_coverage.size(); ++k) {
-    header.push_back(StrFormat("k%zu", k));
-  }
-  tsv.push_back(header);
-  for (size_t i = 0; i < spread->curve.t_values.size(); ++i) {
-    std::vector<std::string> row = {
-        std::to_string(spread->curve.t_values[i])};
-    for (const auto& series : spread->curve.k_coverage) {
-      row.push_back(StrFormat("%.6f", series[i]));
-    }
-    tsv.push_back(row);
-  }
-  const Status status = MaybeWriteTsv(args, tsv);
-  if (!status.ok()) std::cerr << status << "\n";
-  return status.ok() ? 0 : 1;
+  return MaybeWriteTsv(args, SpreadBody(pair->domain, pair->attr,
+                                        spread->curve, WireFormat::kTsv));
 }
 
-int CmdReviews(const Args& args) {
-  Study study(OptionsFrom(args));
+int CmdReviews(const Args& args, const StudyOptions& options) {
+  Study study(options);
   auto scan = study.Scan(Domain::kRestaurants, Attribute::kReviews);
-  if (!scan.ok()) {
-    std::cerr << scan.status() << "\n";
-    return 1;
-  }
+  if (!Ok(scan)) return 1;
   auto result = study.RunReviewSpread(*scan);
-  if (!result.ok()) {
-    std::cerr << result.status() << "\n";
-    return 1;
-  }
+  if (!Ok(result)) return 1;
   PrintCoverageCurve("Restaurant reviews - site-level k-coverage",
                      result->site_curve, std::cout);
   std::cout << "\n";
   PrintPageCoverage("Restaurant reviews - page-level coverage",
                     result->page_curve, std::cout);
 
-  std::vector<std::vector<std::string>> tsv = {
-      {"t", "k1_sites", "page_fraction"}};
+  std::string tsv = "t\tk1_sites\tpage_fraction\n";
   for (size_t i = 0; i < result->site_curve.t_values.size(); ++i) {
-    tsv.push_back({std::to_string(result->site_curve.t_values[i]),
-                   StrFormat("%.6f", result->site_curve.k_coverage[0][i]),
-                   StrFormat("%.6f", result->page_curve.page_fraction[i])});
+    AppendFormat(&tsv, "%u\t%.6f\t%.6f\n", result->site_curve.t_values[i],
+                 result->site_curve.k_coverage[0][i],
+                 result->page_curve.page_fraction[i]);
   }
-  const Status status = MaybeWriteTsv(args, tsv);
-  if (!status.ok()) std::cerr << status << "\n";
-  return status.ok() ? 0 : 1;
+  return MaybeWriteTsv(args, tsv);
 }
 
-int CmdSetCover(const Args& args) {
-  const auto domain = ParseDomain(args.GetOr("domain", "restaurants"));
-  const auto attr = ParseAttribute(args.GetOr("attr", "homepage"));
-  if (!domain || !attr) {
-    std::cerr << "unknown --domain or --attr\n";
-    return 2;
-  }
-  Study study(OptionsFrom(args));
-  auto scan = study.Scan(*domain, *attr);
-  if (!scan.ok()) {
-    std::cerr << scan.status() << "\n";
-    return 1;
-  }
+int CmdSetCover(const Args& args, const StudyOptions& options) {
+  const auto pair = ParsePair(args, Attribute::kHomepage);
+  if (!pair) return 2;
+  Study study(options);
+  auto scan = study.Scan(pair->domain, pair->attr);
+  if (!Ok(scan)) return 1;
   auto curve = study.RunSetCover(*scan);
-  if (!curve.ok()) {
-    std::cerr << curve.status() << "\n";
-    return 1;
-  }
+  if (!Ok(curve)) return 1;
   PrintSetCover("greedy set cover vs size ordering", *curve, std::cout);
-  std::vector<std::vector<std::string>> tsv = {{"t", "greedy", "by_size"}};
-  for (size_t i = 0; i < curve->t_values.size(); ++i) {
-    tsv.push_back({std::to_string(curve->t_values[i]),
-                   StrFormat("%.6f", curve->greedy_coverage[i]),
-                   StrFormat("%.6f", curve->size_coverage[i])});
-  }
-  const Status status = MaybeWriteTsv(args, tsv);
-  if (!status.ok()) std::cerr << status << "\n";
-  return status.ok() ? 0 : 1;
+  return MaybeWriteTsv(args, SetCoverBody(pair->domain, pair->attr, *curve,
+                                          WireFormat::kTsv));
 }
 
-int CmdGraph(const Args& args) {
-  Study study(OptionsFrom(args));
-  std::vector<GraphMetricsRow> rows;
-  auto add = [&](Domain d, Attribute a) -> bool {
-    auto scan = study.Scan(d, a);
-    if (!scan.ok()) {
-      std::cerr << scan.status() << "\n";
-      return false;
-    }
+// The Table 2 graphs in the paper's order: books by ISBN, then every
+// local domain by phone, then by homepage.
+std::vector<Pair> Table2Pairs() {
+  std::vector<Pair> pairs = {{Domain::kBooks, Attribute::kIsbn}};
+  for (Attribute a : {Attribute::kPhone, Attribute::kHomepage}) {
+    for (Domain d : LocalBusinessDomains()) pairs.push_back({d, a});
+  }
+  return pairs;
+}
+
+// Scans each pair and calls `visit` with its scan and Table 2 row. False
+// as soon as a scan, an analysis or `visit` fails.
+template <typename Visit>
+bool ForEachGraph(Study& study, const std::vector<Pair>& pairs,
+                  Visit visit) {
+  for (const Pair& pair : pairs) {
+    auto scan = study.Scan(pair.domain, pair.attr);
+    if (!Ok(scan)) return false;
     auto row = study.RunGraphMetrics(*scan);
-    if (!row.ok()) {
-      std::cerr << row.status() << "\n";
-      return false;
-    }
-    rows.push_back(std::move(row).value());
-    return true;
-  };
-  if (args.Has("all")) {
-    if (!add(Domain::kBooks, Attribute::kIsbn)) return 1;
-    for (Domain d : LocalBusinessDomains()) {
-      if (!add(d, Attribute::kPhone)) return 1;
-    }
-    for (Domain d : LocalBusinessDomains()) {
-      if (!add(d, Attribute::kHomepage)) return 1;
-    }
-  } else {
-    const auto domain = ParseDomain(args.GetOr("domain", "restaurants"));
-    const auto attr = ParseAttribute(args.GetOr("attr", "phone"));
-    if (!domain || !attr) {
-      std::cerr << "unknown --domain or --attr\n";
-      return 2;
-    }
-    if (!add(*domain, *attr)) return 1;
+    if (!Ok(row) || !visit(*scan, *row)) return false;
   }
-  PrintGraphMetrics(rows, std::cout);
-  std::vector<std::vector<std::string>> tsv = {
-      {"domain", "attr", "avg_sites_per_entity", "diameter", "components",
-       "largest_pct"}};
-  for (const auto& row : rows) {
-    tsv.push_back({std::string(DomainName(row.domain)),
-                   std::string(AttributeName(row.attr)),
-                   StrFormat("%.2f", row.avg_sites_per_entity),
-                   std::to_string(row.diameter),
-                   std::to_string(row.num_components),
-                   StrFormat("%.4f", row.largest_component_entity_pct)});
-  }
-  const Status status = MaybeWriteTsv(args, tsv);
-  if (!status.ok()) std::cerr << status << "\n";
-  return status.ok() ? 0 : 1;
+  return true;
 }
 
-int CmdRobustness(const Args& args) {
-  const auto domain = ParseDomain(args.GetOr("domain", "restaurants"));
-  const auto attr = ParseAttribute(args.GetOr("attr", "phone"));
-  if (!domain || !attr) {
-    std::cerr << "unknown --domain or --attr\n";
-    return 2;
+int CmdGraph(const Args& args, const StudyOptions& options) {
+  std::vector<Pair> pairs;
+  if (args.Has("all")) {
+    pairs = Table2Pairs();
+  } else {
+    const auto pair = ParsePair(args);
+    if (!pair) return 2;
+    pairs = {*pair};
   }
-  Study study(OptionsFrom(args));
-  auto scan = study.Scan(*domain, *attr);
-  if (!scan.ok()) {
-    std::cerr << scan.status() << "\n";
-    return 1;
-  }
+  Study study(options);
+  std::vector<GraphMetricsRow> rows;
+  const bool ok = ForEachGraph(
+      study, pairs, [&](const Study::ScanHandle&, const GraphMetricsRow& row) {
+        rows.push_back(row);
+        return true;
+      });
+  if (!ok) return 1;
+  PrintGraphMetrics(rows, std::cout);
+  return MaybeWriteTsv(args, GraphTableTsv(rows));
+}
+
+int CmdRobustness(const Args& args, const StudyOptions& options) {
+  const auto pair = ParsePair(args);
+  if (!pair) return 2;
+  Study study(options);
+  auto scan = study.Scan(pair->domain, pair->attr);
+  if (!Ok(scan)) return 1;
   auto sweep = study.RunRobustness(*scan, 10);
-  if (!sweep.ok()) {
-    std::cerr << sweep.status() << "\n";
-    return 1;
-  }
+  if (!Ok(sweep)) return 1;
   PrintRobustness("largest component vs removed top sites", *sweep,
                   std::cout);
-  std::vector<std::vector<std::string>> tsv = {
-      {"removed", "components", "largest_fraction"}};
+  std::string tsv = "removed\tcomponents\tlargest_fraction\n";
   for (const auto& point : *sweep) {
-    tsv.push_back({std::to_string(point.removed_sites),
-                   std::to_string(point.num_components),
-                   StrFormat("%.6f",
-                             point.largest_component_entity_fraction)});
+    AppendFormat(&tsv, "%u\t%u\t%.6f\n", point.removed_sites,
+                 point.num_components,
+                 point.largest_component_entity_fraction);
   }
-  const Status status = MaybeWriteTsv(args, tsv);
-  if (!status.ok()) std::cerr << status << "\n";
-  return status.ok() ? 0 : 1;
+  return MaybeWriteTsv(args, tsv);
 }
 
-int CmdValue(const Args& args) {
-  const auto site = ParseSite(args.GetOr("site", "yelp"));
+int CmdValue(const Args& args, const StudyOptions& options) {
+  const auto site = FindTrafficSiteByName(args.GetOr("site", "yelp"));
   if (!site) {
-    std::cerr << "unknown --site (amazon|yelp|imdb)\n";
+    std::cerr << "unknown --site (" << TrafficSiteVocabulary('|') << ")\n";
     return 2;
   }
-  Study study(OptionsFrom(args));
+  Study study(options);
   auto result = study.RunValueStudy(*site);
-  if (!result.ok()) {
-    std::cerr << result.status() << "\n";
-    return 1;
-  }
+  if (!Ok(result)) return 1;
   std::cout << TrafficSiteName(*site) << ": top-20% demand share "
             << FormatPct(result->head20_search) << " (search) / "
             << FormatPct(result->head20_browse) << " (browse)\n\n";
   PrintValueAddBins("demand and value-add by review-count bin",
                     result->bins, std::cout);
-  std::vector<std::vector<std::string>> tsv = {
-      {"bin", "entities", "search_z", "browse_z", "rel_va_search",
-       "rel_va_browse"}};
-  for (const auto& bin : result->bins) {
-    tsv.push_back({bin.label, std::to_string(bin.num_entities),
-                   StrFormat("%.6f", bin.mean_search_z),
-                   StrFormat("%.6f", bin.mean_browse_z),
-                   StrFormat("%.6f", bin.rel_va_search),
-                   StrFormat("%.6f", bin.rel_va_browse)});
-  }
-  const Status status = MaybeWriteTsv(args, tsv);
-  if (!status.ok()) std::cerr << status << "\n";
-  return status.ok() ? 0 : 1;
+  return MaybeWriteTsv(args, DemandBody(*result, WireFormat::kTsv));
 }
 
-int CmdBootstrap(const Args& args) {
-  const auto domain = ParseDomain(args.GetOr("domain", "restaurants"));
-  const auto attr = ParseAttribute(args.GetOr("attr", "phone"));
-  if (!domain || !attr) {
-    std::cerr << "unknown --domain or --attr\n";
-    return 2;
-  }
-  const StudyOptions options = OptionsFrom(args);
+int CmdBootstrap(const Args& args, const StudyOptions& options) {
+  const auto pair = ParsePair(args);
+  if (!pair) return 2;
   Study study(options);
-  auto scan = study.RunScan(*domain, *attr);
-  if (!scan.ok()) {
-    std::cerr << scan.status() << "\n";
-    return 1;
-  }
+  auto scan = study.RunScan(pair->domain, pair->attr);
+  if (!Ok(scan)) return 1;
   const auto graph = BipartiteGraph::FromHostTable(
       scan->table, options.ScaledEntities());
   const auto diameter = ExactDiameter(graph, 20000, &study.pool());
@@ -402,10 +276,7 @@ int CmdBootstrap(const Args& args) {
     }
   }
   auto stats = BootstrapRandomSeeds(graph, seed_count, 25, rng);
-  if (!stats.ok()) {
-    std::cerr << stats.status() << "\n";
-    return 1;
-  }
+  if (!Ok(stats)) return 1;
   std::cout << "graph diameter " << diameter.diameter << " (bound: at most "
             << (diameter.diameter + 1) / 2 << " iterations)\n"
             << "random " << seed_count << "-seed trials: iterations mean "
@@ -417,21 +288,13 @@ int CmdBootstrap(const Args& args) {
   return 0;
 }
 
-int CmdGenCache(const Args& args) {
-  const auto domain = ParseDomain(args.GetOr("domain", "restaurants"));
-  const auto attr = ParseAttribute(args.GetOr("attr", "phone"));
+int CmdGenCache(const Args& args, const StudyOptions& options) {
+  const auto pair = ParsePair(args);
+  if (!pair) return 2;
   const std::string out = args.GetOr("out", "web_cache.bin");
-  if (!domain || !attr) {
-    std::cerr << "unknown --domain or --attr\n";
-    return 2;
-  }
-  const StudyOptions options = OptionsFrom(args);
   Study study(options);
-  auto web = study.BuildWeb(*domain, *attr);
-  if (!web.ok()) {
-    std::cerr << web.status() << "\n";
-    return 1;
-  }
+  auto web = study.BuildWeb(pair->domain, pair->attr);
+  if (!Ok(web)) return 1;
   WebCacheWriter writer;
   Status status = writer.Open(out);
   for (SiteId s = 0; status.ok() && s < web->num_hosts(); ++s) {
@@ -440,52 +303,48 @@ int CmdGenCache(const Args& args) {
     });
   }
   if (status.ok()) status = writer.Close();
-  if (!status.ok()) {
-    std::cerr << status << "\n";
-    return 1;
-  }
+  if (!Ok(status)) return 1;
   std::cout << "wrote " << writer.pages_written() << " pages to " << out
             << "\n";
   return 0;
 }
 
-int CmdScanCache(const Args& args) {
-  const auto domain = ParseDomain(args.GetOr("domain", "restaurants"));
-  const auto attr = ParseAttribute(args.GetOr("attr", "phone"));
+// --table-out: dumps the host table as TSV; returns the exit code.
+int MaybeWriteHostTable(const Args& args, const HostEntityTable& table) {
+  const auto out = args.Get("table-out");
+  if (!out.has_value()) return 0;
+  if (!Ok(table.WriteTsv(*out))) return 1;
+  std::cout << "wrote host table to " << *out << "\n";
+  return 0;
+}
+
+void PrintScanStats(const ScanStats& stats) {
+  std::cout << "scanned " << stats.pages_scanned << " pages ("
+            << stats.bytes_scanned / (1024 * 1024) << " MiB) across "
+            << stats.hosts_scanned << " hosts; matched "
+            << stats.entity_mentions << " mentions in "
+            << FormatF(stats.wall_seconds, 2) << "s\n";
+}
+
+int CmdScanCache(const Args& args, const StudyOptions& options) {
+  const auto pair = ParsePair(args);
+  if (!pair) return 2;
   const std::string in = args.GetOr("in", "web_cache.bin");
-  if (!domain || !attr) {
-    std::cerr << "unknown --domain or --attr\n";
-    return 2;
-  }
-  const StudyOptions options = OptionsFrom(args);
   // The catalog must match the one the cache was generated against:
   // same domain, entities and seed.
-  auto catalog = DomainCatalog::Build(*domain, options.ScaledEntities(),
+  auto catalog = DomainCatalog::Build(pair->domain, options.ScaledEntities(),
                                       options.seed);
-  if (!catalog.ok()) {
-    std::cerr << catalog.status() << "\n";
-    return 1;
-  }
+  if (!Ok(catalog)) return 1;
   std::optional<ReviewDetector> detector;
-  if (GetAttributeSpec(*attr).review_channel) {
+  if (GetAttributeSpec(pair->attr).review_channel) {
     auto built = ReviewDetector::CreateDefault(options.seed ^ 0xdecafULL);
-    if (!built.ok()) {
-      std::cerr << built.status() << "\n";
-      return 1;
-    }
+    if (!Ok(built)) return 1;
     detector.emplace(std::move(built).value());
   }
-  auto result = ScanCacheFile(in, *catalog, *attr,
+  auto result = ScanCacheFile(in, *catalog, pair->attr,
                               detector ? &*detector : nullptr);
-  if (!result.ok()) {
-    std::cerr << result.status() << "\n";
-    return 1;
-  }
-  std::cout << "scanned " << result->stats.pages_scanned << " pages ("
-            << result->stats.bytes_scanned / (1024 * 1024) << " MiB) across "
-            << result->stats.hosts_scanned << " hosts; matched "
-            << result->stats.entity_mentions << " mentions in "
-            << FormatF(result->stats.wall_seconds, 2) << "s\n";
+  if (!Ok(result)) return 1;
+  PrintScanStats(result->stats);
   auto curve = ComputeKCoverage(
       result->table, catalog->size(), 10,
       DefaultCoverageTValues(
@@ -493,15 +352,7 @@ int CmdScanCache(const Args& args) {
   if (curve.ok()) {
     PrintCoverageCurve("k-coverage from the cache scan", *curve, std::cout);
   }
-  if (auto out = args.Get("table-out")) {
-    const Status status = result->table.WriteTsv(*out);
-    if (!status.ok()) {
-      std::cerr << status << "\n";
-      return 1;
-    }
-    std::cout << "wrote host table to " << *out << "\n";
-  }
-  return 0;
+  return MaybeWriteHostTable(args, result->table);
 }
 
 // One §3.1 cache scan. --out persists the result as an aligned binary
@@ -514,24 +365,16 @@ int CmdScanCache(const Args& args) {
 // with --canonical) are written in canonical form — hosts sorted by
 // name, wall time zeroed — so a merged 1..n sweep is byte-identical to
 // the monolithic `--canonical` snapshot (cmp-able in CI).
-int CmdScan(const Args& args) {
-  const auto domain = ParseDomain(args.GetOr("domain", "restaurants"));
-  const auto attr = ParseAttribute(args.GetOr("attr", "phone"));
-  if (!domain || !attr) {
-    std::cerr << "unknown --domain or --attr\n";
-    return 2;
-  }
+int CmdScan(const Args& args, const StudyOptions& options) {
+  const auto pair = ParsePair(args);
+  if (!pair) return 2;
   ShardSpec shard;
   if (auto v = args.Get("shard")) {
     auto parsed = ShardSpec::Parse(*v);
-    if (!parsed.ok()) {
-      std::cerr << parsed.status() << "\n";
-      return 2;
-    }
+    if (!Ok(parsed)) return 2;
     shard = *parsed;
   }
   const bool canonical = args.Has("canonical") || !shard.whole();
-  const StudyOptions options = OptionsFrom(args);
   Study study(options);
 
   ScanResult result;
@@ -541,37 +384,20 @@ int CmdScan(const Args& args) {
                    "the product of a shard scan\n";
       return 2;
     }
-    auto scanned = study.RunShardScan(*domain, *attr, shard);
-    if (!scanned.ok()) {
-      std::cerr << scanned.status() << "\n";
-      return 1;
-    }
+    auto scanned = study.RunShardScan(pair->domain, pair->attr, shard);
+    if (!Ok(scanned)) return 1;
     result = std::move(scanned).value();
   } else {
-    auto scan = study.Scan(*domain, *attr);
-    if (!scan.ok()) {
-      std::cerr << scan.status() << "\n";
-      return 1;
-    }
+    auto scan = study.Scan(pair->domain, pair->attr);
+    if (!Ok(scan)) return 1;
     result = scan->result();
   }
-  if (canonical) {
-    const Status status = CanonicalizeScanResult(&result);
-    if (!status.ok()) {
-      std::cerr << status << "\n";
-      return 1;
-    }
-  }
-  const ScanStats& stats = result.stats;
-  std::cout << "scanned " << stats.pages_scanned << " pages ("
-            << stats.bytes_scanned / (1024 * 1024) << " MiB) across "
-            << stats.hosts_scanned << " hosts; matched "
-            << stats.entity_mentions << " mentions in "
-            << FormatF(stats.wall_seconds, 2) << "s\n";
+  if (canonical && !Ok(CanonicalizeScanResult(&result))) return 1;
+  PrintScanStats(result.stats);
   if (auto out = args.Get("out")) {
     ArtifactKey key;
-    key.domain = *domain;
-    key.attr = *attr;
+    key.domain = pair->domain;
+    key.attr = pair->attr;
     key.num_entities = options.num_entities;
     key.seed = options.seed;
     key.scale = options.scale;
@@ -579,22 +405,10 @@ int CmdScan(const Args& args) {
     SnapshotMeta meta = key.Meta();
     meta.shard_index = shard.index;
     meta.shard_count = shard.count;
-    const Status status = WriteSnapshotFileAligned(*out, result, meta);
-    if (!status.ok()) {
-      std::cerr << status << "\n";
-      return 1;
-    }
+    if (!Ok(WriteSnapshotFileAligned(*out, result, meta))) return 1;
     std::cout << "wrote snapshot to " << *out << "\n";
   }
-  if (auto out = args.Get("table-out")) {
-    const Status status = result.table.WriteTsv(*out);
-    if (!status.ok()) {
-      std::cerr << status << "\n";
-      return 1;
-    }
-    std::cout << "wrote host table to " << *out << "\n";
-  }
-  return 0;
+  return MaybeWriteHostTable(args, result.table);
 }
 
 // Recombines per-shard snapshots into the monolithic canonical snapshot
@@ -630,20 +444,14 @@ int CmdMerge(const Args& args) {
     shards.push_back(std::move(loaded).value());
   }
   auto merged = MergeSnapshots(std::move(shards));
-  if (!merged.ok()) {
-    std::cerr << merged.status() << "\n";
-    return 1;
-  }
+  if (!Ok(merged)) return 1;
   const ScanStats& stats = merged->result.stats;
   std::cout << "merged " << inputs.size() << " shard(s): "
             << merged->result.table.num_hosts() << " hosts, "
             << stats.pages_scanned << " pages, " << stats.entity_mentions
             << " mentions\n";
   if (out) {
-    const Status status =
-        WriteSnapshotFileAligned(*out, merged->result, merged->meta);
-    if (!status.ok()) {
-      std::cerr << status << "\n";
+    if (!Ok(WriteSnapshotFileAligned(*out, merged->result, merged->meta))) {
       return 1;
     }
     std::cout << "wrote merged snapshot to " << *out << "\n";
@@ -651,222 +459,118 @@ int CmdMerge(const Args& args) {
   if (artifacts) {
     const ArtifactStore store{*artifacts};
     const ArtifactKey key = ArtifactKey::FromMeta(merged->meta);
-    const Status status = store.Store(key, merged->result);
-    if (!status.ok()) {
-      std::cerr << status << "\n";
-      return 1;
-    }
+    if (!Ok(store.Store(key, merged->result))) return 1;
     std::cout << "installed artifact " << store.PathFor(key) << "\n";
   }
-  if (auto table_out = args.Get("table-out")) {
-    const Status status = merged->result.table.WriteTsv(*table_out);
-    if (!status.ok()) {
-      std::cerr << status << "\n";
-      return 1;
-    }
-    std::cout << "wrote host table to " << *table_out << "\n";
-  }
-  return 0;
+  return MaybeWriteHostTable(args, merged->result.table);
 }
 
 // Runs every experiment and writes one TSV per figure/table into
 // --outdir (created by the caller). The single-command "reproduce the
-// paper" entry point.
-int CmdPaper(const Args& args) {
+// paper" entry point. Any failure is printed and exits 1.
+int CmdPaper(const Args& args, const StudyOptions& options) {
   const std::string outdir = args.GetOr("outdir", "paper_out");
-  const StudyOptions options = OptionsFrom(args);
   Study study(options);
-
-  auto tsv_path = [&](const std::string& name) {
-    return outdir + "/" + name + ".tsv";
+  auto write = [&](const std::string& name, std::string_view tsv) {
+    const std::string path = outdir + "/" + name + ".tsv";
+    if (!WriteOutput(path, tsv)) return false;
+    std::cout << "  wrote " << path << "\n";
+    return true;
   };
-  auto write = [&](const std::string& name,
-                   const std::vector<std::vector<std::string>>& rows)
-      -> Status {
-    CsvWriter writer('\t');
-    WSD_RETURN_IF_ERROR(writer.Open(tsv_path(name)));
-    for (const auto& row : rows) writer.WriteRow(row);
-    WSD_RETURN_IF_ERROR(writer.Close());
-    std::cout << "  wrote " << tsv_path(name) << "\n";
-    return Status::OK();
-  };
-
-  auto spread_rows = [](const CoverageCurve& curve) {
-    std::vector<std::vector<std::string>> rows;
-    std::vector<std::string> header = {"t"};
-    for (size_t k = 1; k <= curve.k_coverage.size(); ++k) {
-      header.push_back(StrFormat("k%zu", k));
-    }
-    rows.push_back(header);
-    for (size_t i = 0; i < curve.t_values.size(); ++i) {
-      std::vector<std::string> row = {std::to_string(curve.t_values[i])};
-      for (const auto& series : curve.k_coverage) {
-        row.push_back(StrFormat("%.6f", series[i]));
-      }
-      rows.push_back(row);
-    }
-    return rows;
+  auto write_spread = [&](const std::string& name, Domain d, Attribute a) {
+    auto scan = study.Scan(d, a);
+    if (!Ok(scan)) return false;
+    auto spread = study.RunSpread(*scan);
+    return Ok(spread) &&
+           write(name, SpreadBody(d, a, spread->curve, WireFormat::kTsv));
   };
 
   // Figures 1-3.
-  struct SpreadJob {
-    const char* prefix;
-    Attribute attr;
-  };
-  auto run_spread =
-      [&](Domain d, Attribute a) -> StatusOr<Study::SpreadResult> {
-    auto scan = study.Scan(d, a);
-    if (!scan.ok()) return scan.status();
-    return study.RunSpread(*scan);
-  };
-  for (const SpreadJob& job :
-       {SpreadJob{"fig1_phone", Attribute::kPhone},
-        SpreadJob{"fig2_homepage", Attribute::kHomepage}}) {
+  for (const auto& [prefix, attr] :
+       {std::pair{"fig1_phone", Attribute::kPhone},
+        std::pair{"fig2_homepage", Attribute::kHomepage}}) {
     for (Domain domain : LocalBusinessDomains()) {
-      auto spread = run_spread(domain, job.attr);
-      if (!spread.ok()) {
-        std::cerr << spread.status() << "\n";
-        return 1;
-      }
-      std::string name = std::string(job.prefix) + "_" +
-                         ToLower(std::string(DomainName(domain)));
+      std::string name =
+          std::string(prefix) + "_" + ToLower(DomainName(domain));
       for (char& c : name) {
         if (!IsAlnum(c) && c != '_') c = '_';
       }
-      const Status status = write(name, spread_rows(spread->curve));
-      if (!status.ok()) {
-        std::cerr << status << "\n";
-        return 1;
-      }
+      if (!write_spread(name, domain, attr)) return 1;
     }
   }
-  {
-    auto spread = run_spread(Domain::kBooks, Attribute::kIsbn);
-    if (!spread.ok() ||
-        !write("fig3_isbn_books", spread_rows(spread->curve)).ok()) {
-      return 1;
-    }
+  if (!write_spread("fig3_isbn_books", Domain::kBooks, Attribute::kIsbn)) {
+    return 1;
   }
   // Figure 4.
   {
     auto scan = study.Scan(Domain::kRestaurants, Attribute::kReviews);
-    if (!scan.ok()) {
-      std::cerr << scan.status() << "\n";
-      return 1;
-    }
+    if (!Ok(scan)) return 1;
     auto result = study.RunReviewSpread(*scan);
-    if (!result.ok()) {
-      std::cerr << result.status() << "\n";
+    if (!Ok(result)) return 1;
+    if (!write("fig4a_reviews_sites",
+               SpreadBody(Domain::kRestaurants, Attribute::kReviews,
+                          result->site_curve, WireFormat::kTsv))) {
       return 1;
     }
-    if (!write("fig4a_reviews_sites", spread_rows(result->site_curve))
-             .ok()) {
-      return 1;
-    }
-    std::vector<std::vector<std::string>> rows = {{"t", "page_fraction"}};
+    std::string pages = "t\tpage_fraction\n";
     for (size_t i = 0; i < result->page_curve.t_values.size(); ++i) {
-      rows.push_back({std::to_string(result->page_curve.t_values[i]),
-                      StrFormat("%.6f", result->page_curve.page_fraction[i])});
+      AppendFormat(&pages, "%u\t%.6f\n", result->page_curve.t_values[i],
+                   result->page_curve.page_fraction[i]);
     }
-    if (!write("fig4b_reviews_pages", rows).ok()) return 1;
+    if (!write("fig4b_reviews_pages", pages)) return 1;
   }
   // Figure 5.
   {
     auto scan = study.Scan(Domain::kRestaurants, Attribute::kHomepage);
-    if (!scan.ok()) {
-      std::cerr << scan.status() << "\n";
-      return 1;
-    }
+    if (!Ok(scan)) return 1;
     auto curve = study.RunSetCover(*scan);
-    if (!curve.ok()) {
-      std::cerr << curve.status() << "\n";
+    if (!Ok(curve) ||
+        !write("fig5_setcover",
+               SetCoverBody(Domain::kRestaurants, Attribute::kHomepage,
+                            *curve, WireFormat::kTsv))) {
       return 1;
     }
-    std::vector<std::vector<std::string>> rows = {
-        {"t", "greedy", "by_size"}};
-    for (size_t i = 0; i < curve->t_values.size(); ++i) {
-      rows.push_back({std::to_string(curve->t_values[i]),
-                      StrFormat("%.6f", curve->greedy_coverage[i]),
-                      StrFormat("%.6f", curve->size_coverage[i])});
-    }
-    if (!write("fig5_setcover", rows).ok()) return 1;
   }
   // Figures 6-8.
   for (TrafficSite site : {TrafficSite::kAmazon, TrafficSite::kYelp,
                            TrafficSite::kImdb}) {
     auto result = study.RunValueStudy(site);
-    if (!result.ok()) {
-      std::cerr << result.status() << "\n";
+    if (!Ok(result)) return 1;
+    const std::string lower = ToLower(TrafficSiteName(site));
+    std::string cumulative = "inventory_fraction\tsearch\tbrowse\n";
+    for (size_t i = 0; i < result->search_curve.size(); ++i) {
+      AppendFormat(&cumulative, "%.4f\t%.6f\t%.6f\n",
+                   result->search_curve[i].inventory_fraction,
+                   result->search_curve[i].demand_fraction,
+                   result->browse_curve[i].demand_fraction);
+    }
+    if (!write("fig6_demand_" + lower, cumulative) ||
+        !write("fig7_fig8_value_" + lower,
+               DemandBody(*result, WireFormat::kTsv))) {
       return 1;
     }
-    const std::string lower = ToLower(std::string(TrafficSiteName(site)));
-    std::vector<std::vector<std::string>> cumulative = {
-        {"inventory_fraction", "search", "browse"}};
-    for (size_t i = 0; i < result->search_curve.size(); ++i) {
-      cumulative.push_back(
-          {StrFormat("%.4f", result->search_curve[i].inventory_fraction),
-           StrFormat("%.6f", result->search_curve[i].demand_fraction),
-           StrFormat("%.6f", result->browse_curve[i].demand_fraction)});
-    }
-    if (!write("fig6_demand_" + lower, cumulative).ok()) return 1;
-    std::vector<std::vector<std::string>> bins = {
-        {"bin", "entities", "search_z", "browse_z", "rel_va_search",
-         "rel_va_browse"}};
-    for (const auto& bin : result->bins) {
-      bins.push_back({bin.label, std::to_string(bin.num_entities),
-                      StrFormat("%.6f", bin.mean_search_z),
-                      StrFormat("%.6f", bin.mean_browse_z),
-                      StrFormat("%.6f", bin.rel_va_search),
-                      StrFormat("%.6f", bin.rel_va_browse)});
-    }
-    if (!write("fig7_fig8_value_" + lower, bins).ok()) return 1;
   }
   // Table 2 + Figure 9.
-  {
-    std::vector<std::vector<std::string>> rows = {
-        {"domain", "attr", "avg_sites_per_entity", "diameter",
-         "components", "largest_pct"}};
-    std::vector<std::vector<std::string>> robustness = {
-        {"domain", "attr", "removed", "largest_fraction"}};
-    auto add = [&](Domain d, Attribute a) -> bool {
-      auto scan = study.Scan(d, a);
-      if (!scan.ok()) {
-        std::cerr << scan.status() << "\n";
-        return false;
-      }
-      auto row = study.RunGraphMetrics(*scan);
-      if (!row.ok()) {
-        std::cerr << row.status() << "\n";
-        return false;
-      }
-      rows.push_back({std::string(DomainName(d)),
-                      std::string(AttributeName(a)),
-                      StrFormat("%.2f", row->avg_sites_per_entity),
-                      std::to_string(row->diameter),
-                      std::to_string(row->num_components),
-                      StrFormat("%.4f", row->largest_component_entity_pct)});
-      auto sweep = study.RunRobustness(*scan, 10);
-      if (!sweep.ok()) {
-        std::cerr << sweep.status() << "\n";
-        return false;
-      }
-      for (const auto& point : *sweep) {
-        robustness.push_back(
-            {std::string(DomainName(d)), std::string(AttributeName(a)),
-             std::to_string(point.removed_sites),
-             StrFormat("%.6f", point.largest_component_entity_fraction)});
-      }
-      return true;
-    };
-    if (!add(Domain::kBooks, Attribute::kIsbn)) return 1;
-    for (Domain d : LocalBusinessDomains()) {
-      if (!add(d, Attribute::kPhone)) return 1;
-    }
-    for (Domain d : LocalBusinessDomains()) {
-      if (!add(d, Attribute::kHomepage)) return 1;
-    }
-    if (!write("table2_graphs", rows).ok()) return 1;
-    if (!write("fig9_robustness", robustness).ok()) return 1;
+  std::vector<GraphMetricsRow> rows;
+  std::string robustness = "domain\tattr\tremoved\tlargest_fraction\n";
+  const bool ok = ForEachGraph(
+      study, Table2Pairs(),
+      [&](const Study::ScanHandle& scan, const GraphMetricsRow& row) {
+        rows.push_back(row);
+        auto sweep = study.RunRobustness(scan, 10);
+        if (!Ok(sweep)) return false;
+        const std::string domain(DomainName(row.domain));
+        const std::string attr(AttributeName(row.attr));
+        for (const auto& point : *sweep) {
+          AppendFormat(&robustness, "%s\t%s\t%u\t%.6f\n", domain.c_str(),
+                       attr.c_str(), point.removed_sites,
+                       point.largest_component_entity_fraction);
+        }
+        return true;
+      });
+  if (!ok || !write("table2_graphs", GraphTableTsv(rows)) ||
+      !write("fig9_robustness", robustness)) {
+    return 1;
   }
   std::cout << "done: all figures/tables written under " << outdir << "\n";
   return 0;
@@ -879,23 +583,16 @@ int RunCommand(const std::string& command, const Args& args);
 // nested command, a default cache scan honoring --domain/--attr — then
 // prints the populated metrics registry to stdout. --format=json selects
 // the JSON exporter over the Prometheus text default.
-int CmdMetrics(const Args& args) {
+int CmdMetrics(const Args& args, const StudyOptions& options) {
   int rc = 0;
   if (args.positional().size() > 1 && args.positional()[1] != "metrics") {
     rc = RunCommand(args.positional()[1], args);
   } else {
-    const auto domain = ParseDomain(args.GetOr("domain", "restaurants"));
-    const auto attr = ParseAttribute(args.GetOr("attr", "phone"));
-    if (!domain || !attr) {
-      std::cerr << "unknown --domain or --attr\n";
-      return 2;
-    }
-    Study study(OptionsFrom(args));
-    auto scan = study.RunScan(*domain, *attr);
-    if (!scan.ok()) {
-      std::cerr << scan.status() << "\n";
-      return 1;
-    }
+    const auto pair = ParsePair(args);
+    if (!pair) return 2;
+    Study study(options);
+    auto scan = study.RunScan(pair->domain, pair->attr);
+    if (!Ok(scan)) return 1;
     std::cout << "scanned " << scan->stats.pages_scanned << " pages across "
               << scan->stats.hosts_scanned << " hosts in "
               << FormatF(scan->stats.wall_seconds, 2) << "s\n\n";
@@ -920,7 +617,8 @@ int CmdHelp() {
       "  setcover    Fig 5 greedy ordering  --domain --attr\n"
       "  graph       Table 2 metrics        --domain --attr | --all\n"
       "  robustness  Fig 9 sweep            --domain --attr\n"
-      "  value       §4 value study         --site amazon|yelp|imdb\n"
+      "  value       §4 value study         --site "
+      << TrafficSiteVocabulary('|') << "\n"
       "  bootstrap   set-expansion trials   --domain --attr [--seeds N]\n"
       "  gen-cache   persist a synthetic web --domain --attr --out f.bin\n"
       "  scan-cache  scan a persisted cache  --domain --attr --in f.bin\n"
@@ -938,28 +636,31 @@ int CmdHelp() {
       "              --artifacts=DIR  (cache scans as on-disk snapshots;\n"
       "               reruns with the same options skip the scan)\n"
       "              --metrics_out=f.json  (dump registry after any run)\n"
-      "domains: books restaurants automotive banks libraries schools "
-      "hotels retail home\n"
-      "attributes: " << AttributeVocabulary() << "\n";
+      "domains: " << DomainVocabulary(' ') << "\n"
+      "attributes: " << AttributeVocabulary(' ') << "\n";
   return 0;
 }
 
 int RunCommand(const std::string& command, const Args& args) {
-  if (command == "domains") return CmdDomains(args);
-  if (command == "spread") return CmdSpread(args);
-  if (command == "reviews") return CmdReviews(args);
-  if (command == "setcover") return CmdSetCover(args);
-  if (command == "graph") return CmdGraph(args);
-  if (command == "robustness") return CmdRobustness(args);
-  if (command == "value") return CmdValue(args);
-  if (command == "bootstrap") return CmdBootstrap(args);
-  if (command == "gen-cache") return CmdGenCache(args);
-  if (command == "scan-cache") return CmdScanCache(args);
-  if (command == "scan") return CmdScan(args);
-  if (command == "merge") return CmdMerge(args);
-  if (command == "paper") return CmdPaper(args);
-  if (command == "metrics") return CmdMetrics(args);
   if (command == "help" || command == "--help") return CmdHelp();
+  if (command == "domains") return CmdDomains(args);
+  if (command == "merge") return CmdMerge(args);
+  // A malformed study flag is a usage error for every command that runs
+  // the study.
+  const auto options = StudyOptions::FromFlags(args);
+  if (!Ok(options)) return 2;
+  if (command == "spread") return CmdSpread(args, *options);
+  if (command == "reviews") return CmdReviews(args, *options);
+  if (command == "setcover") return CmdSetCover(args, *options);
+  if (command == "graph") return CmdGraph(args, *options);
+  if (command == "robustness") return CmdRobustness(args, *options);
+  if (command == "value") return CmdValue(args, *options);
+  if (command == "bootstrap") return CmdBootstrap(args, *options);
+  if (command == "gen-cache") return CmdGenCache(args, *options);
+  if (command == "scan-cache") return CmdScanCache(args, *options);
+  if (command == "scan") return CmdScan(args, *options);
+  if (command == "paper") return CmdPaper(args, *options);
+  if (command == "metrics") return CmdMetrics(args, *options);
   std::cerr << "unknown command '" << command << "'; see wsdctl help\n";
   return 2;
 }
@@ -971,14 +672,10 @@ int Main(int argc, char** argv) {
   // --metrics_out works for every command: after the run, persist the
   // registry as machine-readable JSON.
   if (auto out = args.Get("metrics_out")) {
-    std::ofstream file(*out);
-    file << MetricsRegistry::Global().ToJson() << "\n";
-    if (file.good()) {
-      std::cout << "wrote metrics to " << *out << "\n";
-    } else {
-      std::cerr << "failed to write metrics to " << *out << "\n";
+    if (!WriteOutput(*out, MetricsRegistry::Global().ToJson() + "\n")) {
       return rc == 0 ? 1 : rc;
     }
+    std::cout << "wrote metrics to " << *out << "\n";
   }
   return rc;
 }

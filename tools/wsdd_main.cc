@@ -10,7 +10,8 @@
 //   --artifacts=DIR      on-disk scan-artifact cache (strongly
 //                        recommended: restarts then skip their scans)
 //   --entities=N --seed=N --scale=F --threads=N
-//                        base StudyOptions (same meaning as wsdctl)
+//                        base StudyOptions (same meaning as wsdctl; a
+//                        malformed value exits 2)
 //   --cache-bytes=N      scan-cache byte budget (default 256 MiB)
 //   --response-cache-bytes=N
 //                        rendered-response memo budget (default 64 MiB)
@@ -59,16 +60,12 @@ int Main(int argc, char** argv) {
     return 0;
   }
 
-  StudyOptions base = StudyOptions::FromEnv();
-  if (auto v = args.GetUint("entities")) {
-    base.num_entities = static_cast<uint32_t>(*v);
+  const auto parsed = StudyOptions::FromFlags(args);
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "wsdd: %s\n", parsed.status().ToString().c_str());
+    return 2;
   }
-  if (auto v = args.GetUint("seed")) base.seed = *v;
-  if (auto v = args.GetDouble("scale"); v && *v > 0) base.scale = *v;
-  if (auto v = args.GetUint("threads")) {
-    base.threads = static_cast<uint32_t>(*v);
-  }
-  if (auto v = args.Get("artifacts")) base.artifact_dir = *v;
+  const StudyOptions& base = *parsed;
 
   size_t cache_bytes = 256u * 1024 * 1024;
   if (auto v = args.GetUint("cache-bytes")) {
