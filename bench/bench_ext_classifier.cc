@@ -15,7 +15,7 @@
 int main(int argc, char** argv) {
   const wsd::bench::MetricsExport metrics_export(argc, argv, "bench_ext_classifier");
   using namespace wsd;
-  const StudyOptions options = bench::Options();
+  const StudyOptions options = bench::Options(argc, argv);
   bench::PrintHeader("Extension: review classifier operating curve",
                      "§3.2 (Naive Bayes review detection), §3.5", options);
 

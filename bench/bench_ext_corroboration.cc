@@ -15,7 +15,7 @@
 int main(int argc, char** argv) {
   const wsd::bench::MetricsExport metrics_export(argc, argv, "bench_ext_corroboration");
   using namespace wsd;
-  const StudyOptions options = bench::Options();
+  const StudyOptions options = bench::Options(argc, argv);
   bench::PrintHeader("Extension: accuracy value of k-corroboration",
                      "§2 (redundancy motivation), §3.3", options);
 

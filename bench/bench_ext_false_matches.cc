@@ -15,7 +15,7 @@
 int main(int argc, char** argv) {
   const wsd::bench::MetricsExport metrics_export(argc, argv, "bench_ext_false_matches");
   using namespace wsd;
-  const StudyOptions options = bench::Options();
+  const StudyOptions options = bench::Options(argc, argv);
   bench::PrintHeader("Extension: effect of false identifier matches",
                      "§3.5 Discussion on Errors in Methodology", options);
 

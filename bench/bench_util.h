@@ -16,13 +16,11 @@
 namespace wsd {
 namespace bench {
 
-/// Study options shared by every figure bench: defaults plus the
-/// WSD_SCALE / WSD_ENTITIES / WSD_SEED / WSD_THREADS environment knobs.
-/// Pass argc/argv to additionally honor the --entities / --seed /
-/// --scale / --threads / --artifacts flags (flags win over env vars); a
-/// malformed flag prints the error and exits 2.
-inline StudyOptions Options(int argc = 0, char* const* argv = nullptr) {
-  if (argv == nullptr) return StudyOptions::FromEnv();
+/// Study options shared by every bench: defaults, then the WSD_SCALE /
+/// WSD_ENTITIES / WSD_SEED / WSD_THREADS environment knobs, then the
+/// --entities / --seed / --scale / --threads / --artifacts flags (flags
+/// win over env vars); a malformed flag prints the error and exits 2.
+inline StudyOptions Options(int argc, char* const* argv) {
   auto options = StudyOptions::FromFlags(FlagParser(argc, argv));
   if (!options.ok()) {
     std::cerr << options.status() << "\n";
@@ -53,9 +51,8 @@ inline void PrintAnchor(const std::string& what, const std::string& paper,
 /// RAII handler for the benches' --metrics_out flag: construct first
 /// thing in main(); if `--metrics_out=<path>` was passed, the destructor
 /// writes `{"bench": <name>, "metrics": <registry JSON>}` to the path
-/// when the bench exits. Convention (EXPERIMENTS.md): point it at
-/// `BENCH_<figure>.json` next to the bench's TSV output. Without the
-/// flag this is a no-op, so bench output and timing are unchanged.
+/// when the bench exits. Without the flag this is a no-op, so bench
+/// output and timing are unchanged.
 class MetricsExport {
  public:
   /// Parses --metrics_out from the bench's argv; `bench_name` labels the

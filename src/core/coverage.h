@@ -32,8 +32,8 @@ struct CoverageCurve {
                                          uint32_t max_k,
                                          std::vector<uint32_t> t_values);
 
-/// The default x-axis used by the figure benches (1 to 10^4, log-spaced
-/// like the paper's axes).
+/// The default x-axis of the Figs 1-4 curves (1 to 10^4, log-spaced like
+/// the paper's axes).
 std::vector<uint32_t> DefaultCoverageTValues(uint32_t max_sites);
 
 }  // namespace wsd

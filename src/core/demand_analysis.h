@@ -84,7 +84,8 @@ struct ValueAddOptions {
 
 /// Variant with an explicit I_Δ choice (the paper argues the step
 /// alternative "would estimate even higher value-add of extracting a new
-/// review for tail entities" — verified by bench_fig8 and tests).
+/// review for tail entities" — checked by a `wsdctl paper` anchor row
+/// on the Yelp study, and by tests).
 [[nodiscard]] StatusOr<std::vector<ReviewBinStat>> AnalyzeValueAddWithOptions(
     const DemandTable& demand, const std::vector<uint32_t>& reviews,
     const ValueAddOptions& options);

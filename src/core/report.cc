@@ -30,6 +30,15 @@ void AppendJsonString(std::string* out, std::string_view s) {
   out->push_back('"');
 }
 
+// The value of `series` (sampled at `t_values`, strictly increasing) at
+// the largest sampled t' <= t.
+double ValueAt(std::span<const uint32_t> t_values,
+               std::span<const double> series, uint32_t t) {
+  const auto it = std::upper_bound(t_values.begin(), t_values.end(), t);
+  if (it == t_values.begin()) return 0.0;
+  return series[static_cast<size_t>(it - t_values.begin()) - 1];
+}
+
 }  // namespace
 
 TextTable::TextTable(std::vector<std::string> header)
@@ -299,6 +308,31 @@ std::string DemandBody(const Study::ValueStudyResult& result,
                  bin.rel_va_browse);
   }
   out += "]}\n";
+  return out;
+}
+
+double CoverageAt(const CoverageCurve& curve, uint32_t t, uint32_t k) {
+  return ValueAt(curve.t_values, curve.k_coverage[k - 1], t);
+}
+
+double CoverageAt(const PageCoverageCurve& curve, uint32_t t) {
+  return ValueAt(curve.t_values, curve.page_fraction, t);
+}
+
+std::string AnchorTableTsv(std::span<const Anchor> rows) {
+  std::string out = "figure\tclaim\tpaper\tmeasured\tlo\thi\tin_band\tnote\n";
+  for (const Anchor& row : rows) {
+    AppendFormat(&out, "%s\t%s\t%s\t", row.figure.c_str(), row.claim.c_str(),
+                 row.paper.c_str());
+    if (row.measured.has_value()) {
+      AppendFormat(&out, "%.3f", *row.measured);
+    } else {
+      out += "-";
+    }
+    AppendFormat(&out, "\t%g\t%g\t%d\t%s\n", row.lo, row.hi,
+                 row.InBand() ? 1 : 0,
+                 row.note.empty() ? "-" : row.note.c_str());
+  }
   return out;
 }
 

@@ -1,6 +1,7 @@
 #ifndef WSD_CORE_REPORT_H_
 #define WSD_CORE_REPORT_H_
 
+#include <optional>
 #include <ostream>
 #include <span>
 #include <string>
@@ -83,6 +84,38 @@ std::string GraphTableTsv(std::span<const GraphMetricsRow> rows);
 /// Figs 7/8 value-add bins (TSV), or the whole value study (JSON).
 std::string DemandBody(const Study::ValueStudyResult& result,
                        WireFormat format);
+
+/// k-coverage (1-based k) of the top-`t` sites: the curve's column at the
+/// largest sampled t' <= t, so past the end of the curve its last column
+/// (a web of fewer than t sites covers what all of it covers); 0 when t
+/// precedes the first column.
+double CoverageAt(const CoverageCurve& curve, uint32_t t, uint32_t k);
+/// Fig 4(b)'s page fraction of the top-`t` sites, sampled the same way.
+double CoverageAt(const PageCoverageCurve& curve, uint32_t t);
+
+/// One claim of the paper checked against a run: a row of the
+/// anchors.tsv that `wsdctl paper` writes. `measured` is in the claim's
+/// unit (percent, points, hops, z or VA ratio) and unset when the run's
+/// options leave it undefined. EXPERIMENTS.md ("Anchor bands") gives the
+/// rule that turns the paper's wording into the inclusive band [lo, hi].
+struct Anchor {
+  std::string figure;  // "Fig 1", "Table 2"
+  std::string claim;   // what was measured, with its unit
+  std::string paper;   // the paper's wording
+  std::optional<double> measured;
+  double lo = 0.0;
+  double hi = 0.0;
+  std::string note;  // the Known deviation that widens the band, if any
+
+  bool InBand() const {
+    return measured.has_value() && lo <= *measured && *measured <= hi;
+  }
+};
+
+/// The anchor table as TSV: `figure claim paper measured lo hi in_band
+/// note`. measured prints %.3f ("-" when unset), the band edges %g
+/// (±inf for an open side), in_band 1 or 0, an empty note "-".
+std::string AnchorTableTsv(std::span<const Anchor> rows);
 
 }  // namespace wsd
 

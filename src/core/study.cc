@@ -103,11 +103,6 @@ Study::Study(const StudyOptions& options)
 }
 
 StatusOr<SyntheticWeb> Study::BuildWeb(Domain domain, Attribute attr) const {
-  if (!AttributeApplicableTo(GetAttributeSpec(attr), domain)) {
-    return Status::InvalidArgument(
-        std::string(AttributeName(attr)) + " does not apply to domain " +
-        std::string(DomainName(domain)));
-  }
   SyntheticWeb::Config config;
   config.domain = domain;
   config.attr = attr;

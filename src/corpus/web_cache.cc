@@ -3,6 +3,7 @@
 #include <cstring>
 #include <fstream>
 
+#include "extract/attribute_registry.h"
 #include "util/metrics.h"
 
 namespace wsd {
@@ -10,6 +11,13 @@ namespace wsd {
 StatusOr<SyntheticWeb> SyntheticWeb::Create(const Config& config) {
   if (config.num_entities == 0) {
     return Status::InvalidArgument("num_entities must be >= 1");
+  }
+  // The renderer needs the channel's identifier on every entity; a
+  // catalog without it (books have no phones) is refused here.
+  if (!AttributeApplicableTo(GetAttributeSpec(config.attr), config.domain)) {
+    return Status::InvalidArgument(std::string(AttributeName(config.attr)) +
+                                   " does not apply to domain " +
+                                   std::string(DomainName(config.domain)));
   }
   SyntheticWeb web;
   web.config_ = config;

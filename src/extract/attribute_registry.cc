@@ -365,9 +365,12 @@ void MicrodataMatchInto(const DomainCatalog& catalog,
 // The table. One row per channel, wire-id order. This TU is the only
 // place allowed to switch on Attribute (lint: attr-switch-outside-registry).
 
+// A channel applies to the domains whose catalogs carry its identifier
+// (Table 1): ISBNs for books; phones and homepages for the local-business
+// listings.
 constexpr uint32_t kAllDomainsMask = (1u << kNumDomains) - 1;
-constexpr uint32_t kLocalBusinessMask =
-    kAllDomainsMask & ~(1u << static_cast<int>(Domain::kBooks));
+constexpr uint32_t kBooksMask = 1u << static_cast<int>(Domain::kBooks);
+constexpr uint32_t kLocalBusinessMask = kAllDomainsMask & ~kBooksMask;
 
 const AttributeSpec kSpecs[] = {
     {
@@ -375,7 +378,7 @@ const AttributeSpec kSpecs[] = {
         .wire_id = 0,
         .name = "isbn",
         .display_name = "ISBN",
-        .applicable_domains = kAllDomainsMask,
+        .applicable_domains = kBooksMask,
         .review_channel = false,
         .scan_raw_html = false,
         .min_snapshot_version = 2,  // kSnapshotSchemaVersionAligned
@@ -390,7 +393,7 @@ const AttributeSpec kSpecs[] = {
         .wire_id = 1,
         .name = "phone",
         .display_name = "phone",
-        .applicable_domains = kAllDomainsMask,
+        .applicable_domains = kLocalBusinessMask,
         .review_channel = false,
         .scan_raw_html = false,
         .min_snapshot_version = 2,
@@ -405,7 +408,7 @@ const AttributeSpec kSpecs[] = {
         .wire_id = 2,
         .name = "homepage",
         .display_name = "homepage",
-        .applicable_domains = kAllDomainsMask,
+        .applicable_domains = kLocalBusinessMask,
         .review_channel = false,
         .scan_raw_html = true,  // anchors are parsed from the raw HTML
         .min_snapshot_version = 2,
@@ -420,7 +423,7 @@ const AttributeSpec kSpecs[] = {
         .wire_id = 3,
         .name = "reviews",
         .display_name = "reviews",
-        .applicable_domains = kAllDomainsMask,
+        .applicable_domains = kLocalBusinessMask,
         .review_channel = true,
         .scan_raw_html = false,
         .min_snapshot_version = 2,

@@ -42,8 +42,9 @@ struct AttributeSpec {
   std::string_view display_name;
 
   /// Bitmask over Domain enumerators: which domains the channel applies
-  /// to. The Table 1 attributes are left fully applicable to preserve the
-  /// historical behaviour of explicit (domain, attr) requests.
+  /// to, i.e. whose catalogs carry the identifier its pages render (a
+  /// book has no phone or homepage, a business no ISBN).
+  /// SyntheticWeb::Create refuses any other domain with InvalidArgument.
   uint32_t applicable_domains = 0;
 
   /// Channel renders one page per (entity, mention) with prose, and the

@@ -1,7 +1,8 @@
 // Calibration regression suite: the model-level invariants that the
-// figure benches rely on, checked across every (domain, attribute) pair
-// at reduced scale via the ground-truth fast path (no HTML). These pin
-// the DefaultSpreadParams calibration against Table 2 of the paper.
+// `wsdctl paper` figures rely on, checked across every (domain,
+// attribute) pair at reduced scale via the ground-truth fast path (no
+// HTML). These pin the DefaultSpreadParams calibration against Table 2
+// of the paper.
 
 #include <gtest/gtest.h>
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <sstream>
 
 namespace wsd {
@@ -96,6 +98,70 @@ TEST(ReportPrintersTest, RobustnessAndSetCoverAndBins) {
   PrintPageCoverage("pc", pages, out4);
   EXPECT_NE(out4.str().find("1234"), std::string::npos);
   EXPECT_NE(out4.str().find("80.0%"), std::string::npos);
+}
+
+TEST(CoverageAtTest, ReadsSampledColumnsAndFallsBackToTheLast) {
+  CoverageCurve curve;
+  curve.t_values = {1, 10, 50};
+  curve.k_coverage = {{0.5, 0.9, 1.0}, {0.1, 0.4, 0.7}};
+  EXPECT_EQ(CoverageAt(curve, 10, 1), 0.9);
+  EXPECT_EQ(CoverageAt(curve, 10, 2), 0.4);
+  // Past the end of the curve (a web of 50 sites asked for its top 100):
+  // the last column.
+  EXPECT_EQ(CoverageAt(curve, 100, 1), 1.0);
+  EXPECT_EQ(CoverageAt(curve, 100, 2), 0.7);
+  // Between columns: the largest sampled t below.
+  EXPECT_EQ(CoverageAt(curve, 20, 2), 0.4);
+  EXPECT_EQ(CoverageAt(curve, 0, 1), 0.0);
+
+  PageCoverageCurve pages;
+  pages.t_values = {1, 10};
+  pages.page_fraction = {0.25, 0.75};
+  EXPECT_EQ(CoverageAt(pages, 1), 0.25);
+  EXPECT_EQ(CoverageAt(pages, 1000), 0.75);
+}
+
+TEST(AnchorTableTest, RendersRowsExactly) {
+  const Anchor rows[] = {
+      {"Fig 1", "top-10 sites, k=1 (%)", "~93%", 91.6804, 88, 98, ""},
+      {"Table 2", "largest diameter (hops)", "6-8", 9.0, 6, 9,
+       "Known deviation 2"},
+      {"Fig 8", "step minus linear", "higher tail value", -1.0571,
+       -std::numeric_limits<double>::infinity(), -0.001, ""},
+  };
+  EXPECT_EQ(AnchorTableTsv(rows),
+            "figure\tclaim\tpaper\tmeasured\tlo\thi\tin_band\tnote\n"
+            "Fig 1\ttop-10 sites, k=1 (%)\t~93%\t91.680\t88\t98\t1\t-\n"
+            "Table 2\tlargest diameter (hops)\t6-8\t9.000\t6\t9\t1\t"
+            "Known deviation 2\n"
+            "Fig 8\tstep minus linear\thigher tail value\t-1.057\t-inf\t"
+            "-0.001\t1\t-\n");
+}
+
+TEST(AnchorTableTest, BandIsInclusiveOnBothEdges) {
+  Anchor anchor{"Fig 4", "top-5000 sites, k=2 (%)", "~90%", 85.0, 85, 95, ""};
+  EXPECT_TRUE(anchor.InBand());
+  anchor.measured = 95.0;
+  EXPECT_TRUE(anchor.InBand());
+  anchor.measured = std::nextafter(85.0, 0.0);
+  EXPECT_FALSE(anchor.InBand());
+  anchor.measured = std::nextafter(95.0, 100.0);
+  EXPECT_FALSE(anchor.InBand());
+  EXPECT_NE(AnchorTableTsv({&anchor, 1}).find("\t85\t95\t0\t-\n"),
+            std::string::npos);
+}
+
+// A measurement the run's options leave undefined (Fig 8's shape needs
+// three bins with at least 10 entities) prints "-" and is out of band.
+TEST(AnchorTableTest, UndefinedMeasurementIsOutOfBand) {
+  const Anchor anchor{"Fig 8", "IMDb VA(n)/VA(0) last bin over peak",
+                      "humped: falls at the head", std::nullopt, 0, 0.799,
+                      ""};
+  EXPECT_FALSE(anchor.InBand());
+  EXPECT_EQ(AnchorTableTsv({&anchor, 1}),
+            "figure\tclaim\tpaper\tmeasured\tlo\thi\tin_band\tnote\n"
+            "Fig 8\tIMDb VA(n)/VA(0) last bin over peak\t"
+            "humped: falls at the head\t-\t0\t0.799\t0\t-\n");
 }
 
 }  // namespace

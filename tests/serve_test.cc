@@ -23,6 +23,7 @@
 #include "core/coverage.h"
 #include "core/set_cover.h"
 #include "core/study.h"
+#include "extract/attribute_registry.h"
 #include "serve/endpoints.h"
 #include "serve/http.h"
 #include "serve/http_client.h"
@@ -293,6 +294,25 @@ TEST_F(RoutingTest, BadParametersAre400) {
       Handle("GET /spread?domain=books&attr=isbn&scale=-1 HTTP/1.1").status,
       400);
   EXPECT_EQ(Handle("GET /demand?site=msn HTTP/1.1").status, 400);
+}
+
+// Every (domain, attr) pair of the registry answers 200 or refuses with
+// 400 on each scan endpoint; none may abort the server. Tiny scale keeps
+// the 45 pairs' scans fast.
+TEST_F(RoutingTest, EveryDomainAttrPairAnswersOrRefuses) {
+  for (const AttributeSpec& spec : AllAttributeSpecs()) {
+    for (Domain domain : AllDomains()) {
+      for (const char* endpoint : {"/spread", "/setcover", "/graph"}) {
+        const std::string target =
+            std::string(endpoint) + "?domain=" +
+            std::string(DomainFlagName(domain)) + "&attr=" +
+            std::string(spec.name) + "&scale=0.05";
+        const int status = Handle("GET " + target + " HTTP/1.1").status;
+        EXPECT_EQ(status, AttributeApplicableTo(spec, domain) ? 200 : 400)
+            << target;
+      }
+    }
+  }
 }
 
 TEST_F(RoutingTest, ContentNegotiation) {

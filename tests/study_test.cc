@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "extract/attribute_registry.h"
+
 namespace wsd {
 namespace {
 
@@ -160,9 +164,31 @@ TEST_F(StudySmall, MicrodataSpreadHasAdoptionFilteredShape) {
   EXPECT_LE(curve.k_coverage[0].back(), 1.0 + 1e-12);
 }
 
-TEST_F(StudySmall, MicrodataDoesNotApplyToBooks) {
-  auto scan = study_.Scan(Domain::kBooks, Attribute::kMicrodata);
-  EXPECT_TRUE(scan.status().IsInvalidArgument()) << scan.status();
+// Every (domain, attribute) pair either scans or is refused with
+// InvalidArgument, exactly as the registry's mask says: a catalog that
+// lacks the channel's identifier (books have no phones, businesses no
+// ISBNs) never reaches the page renderer. Enumerates the registry, so a
+// new channel is covered without an edit here.
+TEST(StudyMatrixTest, EveryPairScansExactlyWhenItsMaskAllows) {
+  StudyOptions options;
+  options.num_entities = 300;
+  options.scale = 0.05;
+  options.seed = 3;
+  options.threads = 1;
+  Study study(options);
+  for (const AttributeSpec& spec : AllAttributeSpecs()) {
+    for (Domain domain : AllDomains()) {
+      const std::string pair =
+          std::string(DomainName(domain)) + "/" + std::string(spec.name);
+      auto scan = study.Scan(domain, spec.attr);
+      if (AttributeApplicableTo(spec, domain)) {
+        EXPECT_TRUE(scan.ok()) << pair << ": " << scan.status();
+      } else {
+        EXPECT_TRUE(scan.status().IsInvalidArgument())
+            << pair << ": " << scan.status();
+      }
+    }
+  }
 }
 
 TEST(StudyLegacyTest, LegacyScanRefusesMicrodata) {

@@ -134,6 +134,22 @@ std::string ReadFile(const std::string& path) {
                      std::istreambuf_iterator<char>());
 }
 
+// A known pair whose catalog lacks the identifier (books have no phones)
+// is refused with the study's InvalidArgument, not a crash.
+TEST(WsdctlTest, InapplicablePairIsRefused) {
+  SKIP_WITHOUT_CLI();
+  const std::string err =
+      (fs::temp_directory_path() / "wsdctl_inapplicable.txt").string();
+  EXPECT_EQ(RunCli("spread --domain books --attr phone --entities 300 "
+                   "--scale 0.05 --seed 3",
+                   err),
+            1);
+  EXPECT_NE(ReadFile(err).find("phone does not apply to domain Books"),
+            std::string::npos)
+      << ReadFile(err);
+  std::remove(err.c_str());
+}
+
 TEST(WsdctlTest, MetricsSubcommandDumpsPopulatedRegistry) {
   SKIP_WITHOUT_CLI();
   const std::string out =
@@ -199,13 +215,14 @@ TEST(WsdctlTest, ScanWritesLoadableSnapshot) {
 }
 
 // `wsdctl paper` at a small configuration, every file pinned by its XXH64
-// digest: a change to any value, format or column of the 28 files fails
-// here with the file's name. On a mismatch the message prints the
-// current table in the form below.
+// digest: a change to any value, format or column of the 32 files
+// (anchors.tsv included) fails here with the file's name. On a mismatch
+// the message prints the current table in the form below.
 const char kPaperFlags[] = "--entities 400 --scale 0.05 --seed 3";
 
 const std::map<std::string, uint64_t>& PinnedPaperDigests() {
   static const std::map<std::string, uint64_t> kDigests = {
+      {"anchors.tsv", 0xae4d865defa5210dULL},
       {"fig1_phone_automotive.tsv", 0xb7ed4436fd5daf8aULL},
       {"fig1_phone_banks.tsv", 0x591038bb35f9f8ffULL},
       {"fig1_phone_home___garden.tsv", 0xb7ed4436fd5daf8aULL},
@@ -229,6 +246,9 @@ const std::map<std::string, uint64_t>& PinnedPaperDigests() {
       {"fig6_demand_amazon.tsv", 0xf1a837a214a42d7cULL},
       {"fig6_demand_imdb.tsv", 0x8285396d45649a5bULL},
       {"fig6_demand_yelp.tsv", 0x3f188e4bd152276aULL},
+      {"fig6_rank_amazon.tsv", 0x8aaac0f38703fa3aULL},
+      {"fig6_rank_imdb.tsv", 0x2665aca8f3a69120ULL},
+      {"fig6_rank_yelp.tsv", 0x25bfd73a106506e8ULL},
       {"fig7_fig8_value_amazon.tsv", 0x48bf4b37eebe969eULL},
       {"fig7_fig8_value_imdb.tsv", 0xb36ce511ff7dc2fbULL},
       {"fig7_fig8_value_yelp.tsv", 0x0be3b77c27eb5d58ULL},
@@ -256,7 +276,7 @@ TEST(WsdctlTest, PaperOutputsArePinned) {
     AppendFormat(&table, "      {\"%s\", 0x%016llxULL},\n", name.c_str(),
                  static_cast<unsigned long long>(digest));
   }
-  EXPECT_EQ(digests.size(), 28u);
+  EXPECT_EQ(digests.size(), 32u);
   EXPECT_EQ(digests, PinnedPaperDigests()) << table;
   fs::remove_all(dir);
 }
@@ -267,7 +287,8 @@ TEST(WsdctlTest, PaperReportsUnwritableOutput) {
   SKIP_WITHOUT_CLI();
   const fs::path dir = fs::temp_directory_path() / "wsdctl_paper_blocked";
   for (const char* blocked :
-       {"fig3_isbn_books.tsv", "fig5_setcover.tsv", "table2_graphs.tsv"}) {
+       {"fig3_isbn_books.tsv", "fig5_setcover.tsv", "fig6_rank_yelp.tsv",
+        "table2_graphs.tsv", "anchors.tsv"}) {
     fs::remove_all(dir);
     // A directory where the TSV should go makes the write fail.
     ASSERT_TRUE(fs::create_directories(dir / blocked));

@@ -14,6 +14,7 @@
 //                         (--shard i/n scans one corpus slice, --canonical
 //                         emits the merge-comparable canonical form)
 //   merge                 recombine per-shard snapshots into one
+//   paper                 every figure and table, then the anchor table
 //   metrics               run a command (or a scan), dump the metrics registry
 //
 // Common flags: --domain=<name> --attr=<name> (the attribute vocabulary
@@ -32,6 +33,7 @@
 
 #include <algorithm>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -41,6 +43,7 @@
 #include "core/bootstrap.h"
 #include "core/report.h"
 #include "core/coverage.h"
+#include "core/demand_analysis.h"
 #include "core/study.h"
 #include "extract/attribute_registry.h"
 #include "store/merge.h"
@@ -465,27 +468,79 @@ int CmdMerge(const Args& args) {
   return MaybeWriteHostTable(args, merged->result.table);
 }
 
+// Fig 7's claim as a number: the largest fall of the mean search demand
+// z-score from one occupied review bin to the next (0 when it never
+// falls). Undefined with fewer than two occupied bins.
+std::optional<double> LargestDemandDrop(
+    const std::vector<ReviewBinStat>& bins) {
+  std::optional<double> prev;
+  double drop = 0.0;
+  size_t occupied = 0;
+  for (const ReviewBinStat& bin : bins) {
+    if (bin.num_entities == 0) continue;
+    if (prev) drop = std::max(drop, *prev - bin.mean_search_z);
+    prev = bin.mean_search_z;
+    ++occupied;
+  }
+  if (occupied < 2) return std::nullopt;
+  return drop;
+}
+
+// Fig 8's shape: VA(n)/VA(0) (search) of the first, highest and last bins
+// with at least 10 entities. Undefined with fewer than three such bins.
+struct ValueAddShape {
+  double first = 0.0;
+  double peak = 0.0;
+  double last = 0.0;
+};
+
+std::optional<ValueAddShape> ShapeOf(const std::vector<ReviewBinStat>& bins) {
+  std::vector<double> va;
+  for (const ReviewBinStat& bin : bins) {
+    if (bin.num_entities >= 10) va.push_back(bin.rel_va_search);
+  }
+  if (va.size() < 3) return std::nullopt;
+  return ValueAddShape{va.front(), *std::max_element(va.begin(), va.end()),
+                       va.back()};
+}
+
 // Runs every experiment and writes one TSV per figure/table into
-// --outdir (created by the caller). The single-command "reproduce the
-// paper" entry point. Any failure is printed and exits 1.
+// --outdir (created by the caller), then the anchor table: each claim
+// the paper states as a number, measured in the block that writes its
+// figure and checked against its band (EXPERIMENTS.md, "Anchor bands").
+// The single-command "reproduce the paper" entry point. Any failure is
+// printed and exits 1; an anchor out of its band is a row, not a
+// failure.
 int CmdPaper(const Args& args, const StudyOptions& options) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
   const std::string outdir = args.GetOr("outdir", "paper_out");
   Study study(options);
+  std::vector<Anchor> anchors;
+  auto anchor = [&](const char* figure, std::string claim, const char* paper,
+                    std::optional<double> measured, double lo, double hi,
+                    const char* note = "") {
+    anchors.push_back(
+        {figure, std::move(claim), paper, measured, lo, hi, note});
+  };
   auto write = [&](const std::string& name, std::string_view tsv) {
     const std::string path = outdir + "/" + name + ".tsv";
     if (!WriteOutput(path, tsv)) return false;
     std::cout << "  wrote " << path << "\n";
     return true;
   };
-  auto write_spread = [&](const std::string& name, Domain d, Attribute a) {
+  auto write_spread = [&](const std::string& name, Domain d,
+                          Attribute a) -> std::optional<CoverageCurve> {
     auto scan = study.Scan(d, a);
-    if (!Ok(scan)) return false;
+    if (!Ok(scan)) return std::nullopt;
     auto spread = study.RunSpread(*scan);
-    return Ok(spread) &&
-           write(name, SpreadBody(d, a, spread->curve, WireFormat::kTsv));
+    if (!Ok(spread) ||
+        !write(name, SpreadBody(d, a, spread->curve, WireFormat::kTsv))) {
+      return std::nullopt;
+    }
+    return std::move(spread->curve);
   };
 
-  // Figures 1-3.
+  // Figures 1-3; the restaurants panels of Figs 1 and 2 carry anchors.
   for (const auto& [prefix, attr] :
        {std::pair{"fig1_phone", Attribute::kPhone},
         std::pair{"fig2_homepage", Attribute::kHomepage}}) {
@@ -495,7 +550,25 @@ int CmdPaper(const Args& args, const StudyOptions& options) {
       for (char& c : name) {
         if (!IsAlnum(c) && c != '_') c = '_';
       }
-      if (!write_spread(name, domain, attr)) return 1;
+      const auto curve = write_spread(name, domain, attr);
+      if (!curve) return 1;
+      if (domain != Domain::kRestaurants) continue;
+      if (attr == Attribute::kPhone) {
+        anchor("Fig 1", "restaurants top-10 sites, k=1 (%)", "~93%",
+               100 * CoverageAt(*curve, 10, 1), 88, 98);
+        anchor("Fig 1", "restaurants top-100 sites, k=1 (%)", "close to 100%",
+               100 * CoverageAt(*curve, 100, 1), 95, 100,
+               "Known deviation 4");
+        anchor("Fig 1", "restaurants top-5000 sites, k=5 (%)", "~90%",
+               100 * CoverageAt(*curve, 5000, 5), 85, 95);
+      } else {
+        anchor("Fig 2", "restaurants top-10000 sites, k=1 (%)",
+               ">= 10,000 sites for 95%", 100 * CoverageAt(*curve, 10000, 1),
+               90, 100);
+        anchor("Fig 2", "restaurants top-10 sites, k=1 (%)",
+               "visibly lower than Fig 1(a)'s ~93%",
+               100 * CoverageAt(*curve, 10, 1), 0, 88);
+      }
     }
   }
   if (!write_spread("fig3_isbn_books", Domain::kBooks, Attribute::kIsbn)) {
@@ -518,6 +591,12 @@ int CmdPaper(const Args& args, const StudyOptions& options) {
                    result->page_curve.page_fraction[i]);
     }
     if (!write("fig4b_reviews_pages", pages)) return 1;
+    anchor("Fig 4", "top-1000 sites, k=1 (%)", "~90-95%",
+           100 * CoverageAt(result->site_curve, 1000, 1), 85, 100);
+    anchor("Fig 4", "top-5000 sites, k=2 (%)", "~90%",
+           100 * CoverageAt(result->site_curve, 5000, 2), 85, 95);
+    anchor("Fig 4", "review pages on the top-1000 sites (%)", "~80%",
+           100 * CoverageAt(result->page_curve, 1000), 75, 85);
   }
   // Figure 5.
   {
@@ -530,6 +609,14 @@ int CmdPaper(const Args& args, const StudyOptions& options) {
                             *curve, WireFormat::kTsv))) {
       return 1;
     }
+    double gain = 0.0;
+    for (size_t i = 0; i < curve->t_values.size(); ++i) {
+      if (curve->t_values[i] > 1000) break;
+      gain = std::max(gain,
+                      curve->greedy_coverage[i] - curve->size_coverage[i]);
+    }
+    anchor("Fig 5", "greedy minus size ordering, max over t <= 1000 (points)",
+           "slight / insignificant", 100 * gain, -5, 5);
   }
   // Figures 6-8.
   for (TrafficSite site : {TrafficSite::kAmazon, TrafficSite::kYelp,
@@ -544,15 +631,74 @@ int CmdPaper(const Args& args, const StudyOptions& options) {
                    result->search_curve[i].demand_fraction,
                    result->browse_curve[i].demand_fraction);
     }
+    // Panels (b)/(d): each site's own log-spaced ranks.
+    const auto search = RankDemandCurve(result->demand.search_demand, 12);
+    const auto browse = RankDemandCurve(result->demand.browse_demand, 12);
+    std::string rank = "rank_fraction\tsearch\tbrowse\n";
+    for (size_t i = 0; i < std::min(search.size(), browse.size()); ++i) {
+      AppendFormat(&rank, "%.6g\t%.6g\t%.6g\n", search[i].rank_fraction,
+                   search[i].relative_demand, browse[i].relative_demand);
+    }
     if (!write("fig6_demand_" + lower, cumulative) ||
+        !write("fig6_rank_" + lower, rank) ||
         !write("fig7_fig8_value_" + lower,
                DemandBody(*result, WireFormat::kTsv))) {
       return 1;
+    }
+
+    const std::string name(TrafficSiteName(site));
+    const double head20 = 100 * result->head20_search;
+    if (site == TrafficSite::kAmazon) {
+      anchor("Fig 6", "Amazon top-20% demand share, search (%)", "~70-80%",
+             head20, 65, 85);
+    } else if (site == TrafficSite::kYelp) {
+      anchor("Fig 6", "Yelp top-20% demand share, search (%)", "~60%", head20,
+             55, 65);
+      anchor("Fig 6", "Yelp top-20% share, browse minus search (points)",
+             "browse flatter than search",
+             100 * result->head20_browse - head20, -100, -0.001);
+    } else {
+      anchor("Fig 6", "IMDb top-20% demand share, search (%)", "> 90%",
+             head20, 90, 100);
+    }
+    anchor("Fig 7", name + " largest drop of mean search z between bins",
+           "more demand with more reviews", LargestDemandDrop(result->bins),
+           0, 0.05);
+    const auto shape = ShapeOf(result->bins);
+    std::optional<double> rise, fall;
+    if (shape) {
+      rise = shape->peak - shape->first;
+      if (shape->peak > 0) fall = shape->last / shape->peak;
+    }
+    const std::string rise_claim = name + " VA(n)/VA(0) peak minus first bin";
+    if (site != TrafficSite::kImdb) {
+      anchor("Fig 8", rise_claim, "decreasing in n", rise, 0, 0.15);
+    } else {
+      anchor("Fig 8", rise_claim, "humped: rises mid-range", rise, 0.151,
+             kInf);
+      anchor("Fig 8", name + " VA(n)/VA(0) last bin over peak",
+             "humped: falls at the head", fall, 0, 0.799);
+    }
+    if (site == TrafficSite::kYelp) {
+      // §4.3.1's alternative I_delta: no value once n >= 10 reviews.
+      ValueAddOptions step;
+      step.decay = ValueAddOptions::InfoDecay::kStepAtCutoff;
+      auto step_bins =
+          AnalyzeValueAddWithOptions(result->demand, result->reviews, step);
+      if (!Ok(step_bins)) return 1;
+      double head = 0.0;  // the bins from n >= 15 on
+      for (size_t i = 4; i < step_bins->size(); ++i) {
+        head += (*step_bins)[i].rel_va_search - result->bins[i].rel_va_search;
+      }
+      anchor("Fig 8",
+             "Yelp head-bin (n >= 15) VA sum, step decay minus inverse-linear",
+             "step I_delta: even higher tail value-add", head, -kInf, -0.001);
     }
   }
   // Table 2 + Figure 9.
   std::vector<GraphMetricsRow> rows;
   std::string robustness = "domain\tattr\tremoved\tlargest_fraction\n";
+  double after_top10[2] = {1.0, 1.0};  // ISBN + phone, homepage graphs
   const bool ok = ForEachGraph(
       study, Table2Pairs(),
       [&](const Study::ScanHandle& scan, const GraphMetricsRow& row) {
@@ -566,12 +712,44 @@ int CmdPaper(const Args& args, const StudyOptions& options) {
                        attr.c_str(), point.removed_sites,
                        point.largest_component_entity_fraction);
         }
+        double& worst = after_top10[row.attr == Attribute::kHomepage];
+        worst =
+            std::min(worst, sweep->back().largest_component_entity_fraction);
         return true;
       });
   if (!ok || !write("table2_graphs", GraphTableTsv(rows)) ||
       !write("fig9_robustness", robustness)) {
     return 1;
   }
+  const auto [min_d, max_d] = std::minmax_element(
+      rows.begin(), rows.end(),
+      [](const auto& a, const auto& b) { return a.diameter < b.diameter; });
+  double largest = 100.0;
+  for (const GraphMetricsRow& row : rows) {
+    largest = std::min(largest, row.largest_component_entity_pct);
+  }
+  anchor("Table 2", "smallest diameter (hops)", "6-8", min_d->diameter, 6, 8);
+  anchor("Table 2", "largest diameter (hops)", "6-8", max_d->diameter, 6, 9,
+         "Known deviation 2");
+  anchor("Table 2", "largest component, worst graph (%)", ">= 97.87%",
+         largest, 97.87, 100);
+  anchor("Fig 9",
+         "ISBN + phone graphs without their top 10 sites, largest "
+         "component, worst graph (%)",
+         "> 99%", 100 * after_top10[0], 99, 100);
+  anchor("Fig 9",
+         "homepage graphs without their top 10 sites, largest component, "
+         "worst graph (%)",
+         "> 90%", 100 * after_top10[1], 90, 100);
+
+  // In figure order: the value studies above interleave Figs 6-8.
+  std::stable_sort(anchors.begin(), anchors.end(),
+                   [](const Anchor& a, const Anchor& b) {
+                     return a.figure < b.figure;
+                   });
+  const std::string table = AnchorTableTsv(anchors);
+  std::cout << "\n" << table << "\n";
+  if (!write("anchors", table)) return 1;
   std::cout << "done: all figures/tables written under " << outdir << "\n";
   return 0;
 }
@@ -629,7 +807,8 @@ int CmdHelp() {
       "  merge       recombine shard snapshots  s1.wsdsnap s2.wsdsnap ...\n"
       "              [--out merged.wsdsnap] [--artifacts DIR]\n"
       "              [--table-out f.tsv]\n"
-      "  paper       run EVERY experiment, TSVs into --outdir\n"
+      "  paper       run EVERY experiment, TSVs into --outdir, then\n"
+      "              anchors.tsv: each numeric claim vs its band\n"
       "  metrics     run a command (default: a scan), then dump the\n"
       "              metrics registry        [command ...] [--format json]\n\n"
       "common flags: --entities=N --seed=N --scale=F --threads=N\n"
