@@ -153,6 +153,9 @@ ArtifactKey Study::KeyFor(Domain domain, Attribute attr) const {
 }
 
 StatusOr<Study::ScanHandle> Study::Scan(Domain domain, Attribute attr) {
+  // Before the store: an artifact stored under an inapplicable key (by an
+  // older build, or installed by `wsdctl merge`) must not answer.
+  WSD_RETURN_IF_ERROR(CheckAttributeApplies(attr, domain));
   const auto memo_key =
       std::make_pair(static_cast<int>(domain), static_cast<int>(attr));
   if (auto it = scan_memo_.find(memo_key); it != scan_memo_.end()) {

@@ -104,7 +104,9 @@ class Study {
   /// in-memory memo makes repeat calls free within a Study, and when
   /// options().artifact_dir is set the result round-trips through the
   /// on-disk ArtifactStore (hit: no scan at all; corrupt or stale
-  /// artifact: logged, counted, and transparently rescanned).
+  /// artifact: logged, counted, and transparently rescanned). A pair the
+  /// attribute registry does not allow is refused with InvalidArgument
+  /// before the store is consulted.
   [[nodiscard]] StatusOr<ScanHandle> Scan(Domain domain, Attribute attr);
 
   /// §3.1 cache scan for one (domain, attribute). Equivalent to

@@ -14,11 +14,7 @@ StatusOr<SyntheticWeb> SyntheticWeb::Create(const Config& config) {
   }
   // The renderer needs the channel's identifier on every entity; a
   // catalog without it (books have no phones) is refused here.
-  if (!AttributeApplicableTo(GetAttributeSpec(config.attr), config.domain)) {
-    return Status::InvalidArgument(std::string(AttributeName(config.attr)) +
-                                   " does not apply to domain " +
-                                   std::string(DomainName(config.domain)));
-  }
+  WSD_RETURN_IF_ERROR(CheckAttributeApplies(config.attr, config.domain));
   SyntheticWeb web;
   web.config_ = config;
 

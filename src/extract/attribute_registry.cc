@@ -488,6 +488,13 @@ const AttributeSpec* FindAttributeByWireId(uint32_t wire_id) {
   return nullptr;
 }
 
+Status CheckAttributeApplies(Attribute attr, Domain d) {
+  if (AttributeApplicableTo(GetAttributeSpec(attr), d)) return Status::OK();
+  return Status::InvalidArgument(std::string(AttributeName(attr)) +
+                                 " does not apply to domain " +
+                                 std::string(DomainName(d)));
+}
+
 std::string_view AttributeName(Attribute a) {
   const auto i = static_cast<size_t>(a);
   if (i >= std::size(kSpecs)) return "unknown";

@@ -9,6 +9,7 @@
 #include "corpus/site_model.h"
 #include "entity/domains.h"
 #include "util/function_ref.h"
+#include "util/status.h"
 
 namespace wsd {
 
@@ -44,7 +45,8 @@ struct AttributeSpec {
   /// Bitmask over Domain enumerators: which domains the channel applies
   /// to, i.e. whose catalogs carry the identifier its pages render (a
   /// book has no phone or homepage, a business no ISBN).
-  /// SyntheticWeb::Create refuses any other domain with InvalidArgument.
+  /// Any other domain is refused with InvalidArgument
+  /// (CheckAttributeApplies).
   uint32_t applicable_domains = 0;
 
   /// Channel renders one page per (entity, mention) with prose, and the
@@ -113,6 +115,12 @@ const AttributeSpec* FindAttributeByWireId(uint32_t wire_id);
 inline bool AttributeApplicableTo(const AttributeSpec& spec, Domain d) {
   return (spec.applicable_domains & (1u << static_cast<int>(d))) != 0;
 }
+
+/// OK when channel `attr` applies to domain `d`; otherwise
+/// InvalidArgument "<attr> does not apply to domain <Domain>". Every path
+/// that answers a pair checks this first: a web build, a cache-file scan
+/// and an artifact-store lookup.
+[[nodiscard]] Status CheckAttributeApplies(Attribute attr, Domain d);
 
 }  // namespace wsd
 

@@ -345,6 +345,7 @@ StatusOr<ScanResult> ScanCacheFile(const std::string& path,
                                    const DomainCatalog& catalog,
                                    Attribute attr,
                                    const ReviewDetector* detector) {
+  WSD_RETURN_IF_ERROR(CheckAttributeApplies(attr, catalog.domain()));
   if (GetAttributeSpec(attr).review_channel && detector == nullptr) {
     return Status::InvalidArgument(
         "review scan requires a ReviewDetector");

@@ -141,7 +141,9 @@ class ScanPipeline {
 /// hosts by the normalized host of their URL; pages with unparseable
 /// URLs are counted in stats and skipped. Single-threaded streaming (the
 /// file is the bottleneck) on the same ScanScratch kernel as
-/// ScanPipeline::Run. A detector is required for review scans.
+/// ScanPipeline::Run. A detector is required for review scans, and a
+/// channel that does not apply to the catalog's domain is refused with
+/// InvalidArgument.
 [[nodiscard]] StatusOr<ScanResult> ScanCacheFile(const std::string& path,
                                    const DomainCatalog& catalog,
                                    Attribute attr,

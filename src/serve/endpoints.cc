@@ -104,10 +104,9 @@ bool ParseDomainAttr(const HttpRequest& req, Domain* domain, Attribute* attr,
              ")");
     return false;
   }
-  if (!AttributeApplicableTo(*spec, *d)) {
-    Fail(resp, 400,
-         std::string(AttributeName(spec->attr)) +
-             " does not apply to domain " + std::string(DomainName(*d)));
+  if (const Status applies = CheckAttributeApplies(spec->attr, *d);
+      !applies.ok()) {
+    Fail(resp, 400, applies.message());
     return false;
   }
   *domain = *d;

@@ -187,4 +187,16 @@ void AppendZeroPadded(std::string* out, uint64_t v, size_t min_digits) {
   out->append(first, digits);
 }
 
+std::string WithCommas(uint64_t v) {
+  std::string digits = std::to_string(v);
+  std::string out;
+  out.reserve(digits.size() + digits.size() / 3);
+  const size_t n = digits.size();
+  for (size_t i = 0; i < n; ++i) {
+    if (i > 0 && (n - i) % 3 == 0) out.push_back(',');
+    out.push_back(digits[i]);
+  }
+  return out;
+}
+
 }  // namespace wsd

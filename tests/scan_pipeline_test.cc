@@ -296,6 +296,12 @@ TEST(ScanCacheFileTest, ErrorsSurface) {
                             Attribute::kReviews, nullptr)
                   .status()
                   .IsInvalidArgument());
+  // A restaurants catalog carries no ISBNs: refused before the file is
+  // read, like the web build of the same pair.
+  EXPECT_TRUE(ScanCacheFile("/nonexistent/cache.bin", web.catalog(),
+                            Attribute::kIsbn)
+                  .status()
+                  .IsInvalidArgument());
 }
 
 // The scan kernel (Run) and the pre-kernel path (RunLegacy) must agree

@@ -753,6 +753,38 @@ TEST(StudyArtifactTest, CorruptArtifactFallsBackToLiveScan) {
   fs::remove_all(dir);
 }
 
+// An artifact stored under a key the registry does not allow (by an
+// older build, or installed by `wsdctl merge`) never answers: Study::Scan
+// refuses the pair before it consults the store.
+TEST(StudyArtifactTest, InapplicableKeyIsRefusedBeforeTheStore) {
+  const std::string dir = FreshDir("study_inapplicable");
+  StudyOptions options = SmallOptions();
+  options.artifact_dir = dir;
+  ScanResult banks;
+  {
+    Study study(options);
+    auto scan = study.RunScan(Domain::kBanks, Attribute::kPhone);
+    ASSERT_TRUE(scan.ok()) << scan.status();
+    banks = std::move(scan).value();
+  }
+  ArtifactKey key;
+  key.domain = Domain::kBooks;
+  key.attr = Attribute::kPhone;
+  key.num_entities = options.num_entities;
+  key.seed = options.seed;
+  key.scale = options.scale;
+  const ArtifactStore store(dir);
+  ASSERT_TRUE(store.Store(key, banks).ok());
+  ASSERT_TRUE(store.Load(key).ok());
+
+  const uint64_t hits0 = CounterValue("wsd.artifact.hits");
+  Study study(options);
+  auto refused = study.Scan(Domain::kBooks, Attribute::kPhone);
+  EXPECT_TRUE(refused.status().IsInvalidArgument()) << refused.status();
+  EXPECT_EQ(CounterValue("wsd.artifact.hits"), hits0);
+  fs::remove_all(dir);
+}
+
 // Analyses through a ScanHandle are deterministic: two independent
 // Studies over the same options agree on every handle-path analysis.
 TEST(StudyArtifactTest, HandleAnalysesAreDeterministic) {

@@ -164,6 +164,11 @@ TEST_F(StudySmall, MicrodataSpreadHasAdoptionFilteredShape) {
   EXPECT_LE(curve.k_coverage[0].back(), 1.0 + 1e-12);
 }
 
+TEST_F(StudySmall, MicrodataDoesNotApplyToBooks) {
+  auto scan = study_.Scan(Domain::kBooks, Attribute::kMicrodata);
+  EXPECT_TRUE(scan.status().IsInvalidArgument()) << scan.status();
+}
+
 // Every (domain, attribute) pair either scans or is refused with
 // InvalidArgument, exactly as the registry's mask says: a catalog that
 // lacks the channel's identifier (books have no phones, businesses no

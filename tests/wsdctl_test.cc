@@ -135,18 +135,28 @@ std::string ReadFile(const std::string& path) {
 }
 
 // A known pair whose catalog lacks the identifier (books have no phones)
-// is refused with the study's InvalidArgument, not a crash.
+// is refused with the study's InvalidArgument, not a crash: by a command
+// that builds the web, and by scan-cache, which reads a cache file of
+// another domain's pages instead.
 TEST(WsdctlTest, InapplicablePairIsRefused) {
   SKIP_WITHOUT_CLI();
   const std::string err =
       (fs::temp_directory_path() / "wsdctl_inapplicable.txt").string();
-  EXPECT_EQ(RunCli("spread --domain books --attr phone --entities 300 "
-                   "--scale 0.05 --seed 3",
-                   err),
-            1);
-  EXPECT_NE(ReadFile(err).find("phone does not apply to domain Books"),
-            std::string::npos)
-      << ReadFile(err);
+  const std::string cache =
+      (fs::temp_directory_path() / "wsdctl_inapplicable.bin").string();
+  const std::string tiny = " --entities 300 --scale 0.05 --seed 3";
+  ASSERT_EQ(RunCli("gen-cache --domain banks --attr phone --out " + cache +
+                   tiny),
+            0);
+  for (const std::string command : {std::string("spread"),
+                                    "scan-cache --in " + cache}) {
+    EXPECT_EQ(RunCli(command + " --domain books --attr phone" + tiny, err), 1)
+        << command;
+    EXPECT_NE(ReadFile(err).find("phone does not apply to domain Books"),
+              std::string::npos)
+        << command << ": " << ReadFile(err);
+  }
+  std::remove(cache.c_str());
   std::remove(err.c_str());
 }
 
