@@ -58,30 +58,21 @@ StudyOptions StudyOptions::FromEnv() {
 
 StatusOr<StudyOptions> StudyOptions::FromFlags(const FlagParser& flags) {
   StudyOptions options = FromEnv();
-  const auto invalid = [](const char* flag, const std::string& value,
-                          const char* want) {
-    return Status::InvalidArgument(StrFormat(
-        "invalid --%s value '%s' (want %s)", flag, value.c_str(), want));
-  };
   for (auto [flag, field] : {std::pair{"entities", &options.num_entities},
                              std::pair{"threads", &options.threads}}) {
-    if (auto v = flags.Get(flag)) {
-      const auto n = ParseUint64(*v);
-      if (!n.has_value() || *n > UINT32_MAX) {
-        return invalid(flag, *v, "an integer from 0 to 4294967295");
-      }
-      *field = static_cast<uint32_t>(*n);
-    }
+    const auto n = flags.GetUintInRange(flag, *field, 0, UINT32_MAX);
+    if (!n.ok()) return n.status();
+    *field = static_cast<uint32_t>(*n);
   }
-  if (auto v = flags.Get("seed")) {
-    const auto n = ParseUint64(*v);
-    if (!n.has_value()) return invalid("seed", *v, "an integer >= 0");
-    options.seed = *n;
-  }
+  const auto seed = flags.GetUintInRange("seed", options.seed, 0, UINT64_MAX);
+  if (!seed.ok()) return seed.status();
+  options.seed = *seed;
   if (auto v = flags.Get("scale")) {
     const auto f = ParseDouble(*v);
     if (!f.has_value() || !std::isfinite(*f) || *f <= 0) {
-      return invalid("scale", *v, "a finite number > 0");
+      return Status::InvalidArgument(StrFormat(
+          "invalid --scale value '%s' (want a finite number > 0)",
+          v->c_str()));
     }
     options.scale = *f;
   }

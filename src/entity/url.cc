@@ -1,11 +1,47 @@
 #include "entity/url.h"
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
 
 #include "util/string_util.h"
 
 namespace wsd {
+
+namespace {
+
+// What a byte means inside the authority.
+enum AuthorityByte : uint8_t { kPlain, kAuthorityEnd, kAt, kColon };
+
+constexpr std::array<AuthorityByte, 256> MakeAuthorityBytes() {
+  std::array<AuthorityByte, 256> bytes{};
+  bytes['/'] = bytes['?'] = bytes['#'] = kAuthorityEnd;
+  bytes['@'] = kAt;
+  bytes[':'] = kColon;
+  return bytes;
+}
+
+constexpr std::array<AuthorityByte, 256> kAuthorityBytes =
+    MakeAuthorityBytes();
+
+// The first `ch` in [first, last), or `last` when there is none.
+const char* Find(const char* first, const char* last, char ch) {
+  const void* hit = std::memchr(first, ch, static_cast<size_t>(last - first));
+  return hit == nullptr ? last : static_cast<const char*>(hit);
+}
+
+// Replaces *out with the lower-cased `host` followed by `path`, sizing it
+// once.
+void AssignLowerHostAndPath(std::string_view host, std::string_view path,
+                            std::string* out) {
+  out->resize(host.size() + path.size());
+  char* o = std::transform(host.begin(), host.end(), out->data(), ToLowerChar);
+  std::copy(path.begin(), path.end(), o);
+}
+
+}  // namespace
 
 std::string Url::ToString() const {
   std::string out = scheme + "://" + host;
@@ -41,17 +77,19 @@ bool ParseUrlView(std::string_view raw, UrlView* out) {
   out->scheme = std::string_view(p, scheme_len);
 
   // Authority: up to the first '/', '?' or '#', noting the last '@'
-  // (userinfo ends there) and the last ':' (a port may follow it).
+  // (userinfo ends there) and the last ':' (a port may follow it). One
+  // table lookup per byte; most bytes are kPlain.
   const char* authority = p + scheme_len + 3;
   const char* at = nullptr;
   const char* colon = nullptr;
   const char* c = authority;
   for (; c < end; ++c) {
-    const char ch = *c;
-    if (ch == '/' || ch == '?' || ch == '#') break;
-    if (ch == '@') {
+    const AuthorityByte kind = kAuthorityBytes[static_cast<unsigned char>(*c)];
+    if (kind == kPlain) continue;
+    if (kind == kAuthorityEnd) break;
+    if (kind == kAt) {
       at = c;
-    } else if (ch == ':') {
+    } else {
       colon = c;
     }
   }
@@ -68,38 +106,34 @@ bool ParseUrlView(std::string_view raw, UrlView* out) {
   if (host == host_end) return false;
   out->host = std::string_view(host, static_cast<size_t>(host_end - host));
 
-  // Path up to '?' or '#', then the query up to '#'.
+  // Path up to '?' or '#', then the query up to '#': memchr finds the
+  // fragment, then the '?' before it.
   out->path = std::string_view();
   out->query = std::string_view();
   if (c < end && *c != '#') {
-    const char* path = c;
-    while (c < end && *c != '?' && *c != '#') ++c;
-    out->path = std::string_view(path, static_cast<size_t>(c - path));
-    if (c < end && *c == '?') {
-      const char* query = ++c;
-      while (c < end && *c != '#') ++c;
-      out->query = std::string_view(query, static_cast<size_t>(c - query));
+    const char* fragment = Find(c, end, '#');
+    const char* question = Find(c, fragment, '?');
+    out->path = std::string_view(c, static_cast<size_t>(question - c));
+    if (question < fragment) {
+      out->query = std::string_view(
+          question + 1, static_cast<size_t>(fragment - question - 1));
     }
   }
   return true;
 }
 
 std::string_view NormalizeHostView(std::string_view host) {
-  std::string_view h = Trim(host);
-  if (h.size() > 4 && EqualsIgnoreCase(h.substr(0, 4), "www.")) {
-    h = h.substr(4);
+  const char* b = host.data();
+  const char* e = b + host.size();
+  while (b < e && IsSpace(*b)) ++b;
+  while (e > b && IsSpace(e[-1])) --e;
+  if (e - b > 4 && ToLowerChar(b[0]) == 'w' && ToLowerChar(b[1]) == 'w' &&
+      ToLowerChar(b[2]) == 'w' && b[3] == '.') {
+    b += 4;
   }
-  if (!h.empty() && h.back() == '.') h.remove_suffix(1);
-  return h;
+  if (e > b && e[-1] == '.') --e;
+  return std::string_view(b, static_cast<size_t>(e - b));
 }
-
-namespace {
-
-void AppendLower(std::string_view s, std::string* out) {
-  for (char c : s) out->push_back(ToLowerChar(c));
-}
-
-}  // namespace
 
 std::optional<Url> ParseUrl(std::string_view raw) {
   UrlView view;
@@ -115,7 +149,7 @@ std::optional<Url> ParseUrl(std::string_view raw) {
 
 std::string NormalizeHost(std::string_view host) {
   std::string out;
-  AppendLower(NormalizeHostView(host), &out);
+  AssignLowerHostAndPath(NormalizeHostView(host), {}, &out);
   return out;
 }
 
@@ -126,22 +160,26 @@ std::string CanonicalizeHomepage(std::string_view raw_url) {
 }
 
 bool CanonicalizeHomepageInto(std::string_view raw_url, std::string* out) {
-  out->clear();
   UrlView view;
-  if (!ParseUrlView(raw_url, &view)) return false;
-  std::string_view path = view.path.empty() ? "/" : view.path;
-  while (path.size() > 1 && path.back() == '/') path.remove_suffix(1);
-  if (path == "/") path = std::string_view();
-  AppendLower(NormalizeHostView(view.host), out);
-  out->append(path);
+  if (!ParseUrlView(raw_url, &view)) {
+    out->clear();
+    return false;
+  }
+  // A non-empty path starts with '/', so dropping every trailing slash
+  // leaves a path that is empty exactly when it was only slashes.
+  std::string_view path = view.path;
+  while (!path.empty() && path.back() == '/') path.remove_suffix(1);
+  AssignLowerHostAndPath(NormalizeHostView(view.host), path, out);
   return true;
 }
 
 bool ParseHostInto(std::string_view raw_url, std::string* out) {
-  out->clear();
   UrlView view;
-  if (!ParseUrlView(raw_url, &view)) return false;
-  AppendLower(NormalizeHostView(view.host), out);
+  if (!ParseUrlView(raw_url, &view)) {
+    out->clear();
+    return false;
+  }
+  AssignLowerHostAndPath(NormalizeHostView(view.host), {}, out);
   return true;
 }
 

@@ -1,8 +1,13 @@
 #include "traffic/demand.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <utility>
+
+#include "util/hash.h"
+#include "util/logging.h"
 
 namespace wsd {
 
@@ -38,12 +43,20 @@ DemandTable DemandEstimator::Finalize() {
   //     McIlroy, Bostic and McIlroy, "Engineering Radix Sort", Computing
   //     Systems 6(1), 1993). Each swap drops one key into its entity's
   //     run; the generator's entity-grouped logs need almost none;
-  //  3. sort each run by (month, cookie) and count its distinct keys.
-  // Extra space is two words per entity; the keys are never copied.
+  //  3. insert each run's keys into an open-addressing table of run
+  //     offsets (linear probing) and count the keys not already there.
+  //     The table's size is the power of two >= twice the run's length,
+  //     so it is at most half full; it is cleared per run and reused by
+  //     every run of both channels.
+  // Extra space is two words per entity and four bytes per table slot;
+  // the keys are never copied.
   const size_t n = num_entities_;
   std::vector<size_t> start(n + 1);
   std::vector<size_t> head(n);
+  constexpr uint32_t kEmpty = UINT32_MAX;
+  std::vector<uint32_t> slots;
   auto dedupe_count = [&](std::vector<Key>& keys, std::vector<double>& out) {
+    WSD_CHECK(keys.size() < kEmpty);  // run offsets fit below kEmpty
     std::fill(start.begin(), start.end(), size_t{0});
     for (const Key& k : keys) ++start[size_t{k.entity} + 1];
     for (size_t e = 0; e < n; ++e) start[e + 1] += start[e];
@@ -56,17 +69,27 @@ DemandTable DemandEstimator::Finalize() {
       }
     }
     for (size_t e = 0; e < n; ++e) {
-      Key* const first = keys.data() + start[e];
-      Key* const last = keys.data() + start[e + 1];
-      std::sort(first, last, [](const Key& a, const Key& b) {
-        if (a.month != b.month) return a.month < b.month;
-        return a.cookie < b.cookie;
-      });
-      for (const Key* k = first; k != last; ++k) {
-        const bool dup = k != first && k[-1].month == k->month &&
-                         k[-1].cookie == k->cookie;
-        if (!dup) out[e] += 1.0;
+      const Key* const run = keys.data() + start[e];
+      const uint32_t len = static_cast<uint32_t>(start[e + 1] - start[e]);
+      if (len == 0) continue;
+      const size_t mask = std::bit_ceil(size_t{2} * len) - 1;
+      if (slots.size() <= mask) slots.resize(mask + 1);
+      std::fill_n(slots.begin(), mask + 1, kEmpty);
+      uint32_t distinct = 0;
+      for (uint32_t i = 0; i < len; ++i) {
+        const Key& k = run[i];
+        size_t s = MixHash64(k.cookie ^ (uint64_t{k.month} << 56)) & mask;
+        for (;; s = (s + 1) & mask) {
+          const uint32_t j = slots[s];
+          if (j == kEmpty) {
+            slots[s] = i;
+            ++distinct;
+            break;
+          }
+          if (run[j].month == k.month && run[j].cookie == k.cookie) break;
+        }
       }
+      out[e] = distinct;
     }
     keys.clear();
     keys.shrink_to_fit();

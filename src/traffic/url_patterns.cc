@@ -1,5 +1,8 @@
 #include "traffic/url_patterns.h"
 
+#include <algorithm>
+#include <cstring>
+
 #include "entity/url.h"
 #include "util/string_util.h"
 
@@ -7,14 +10,34 @@ namespace wsd {
 
 namespace {
 
+// The helpers below take their literal as an array, so each call site
+// compares against a compile-time length and inlines the comparison.
+
+// True when `s`, lower-cased, is `lower`.
+template <size_t N>
+bool EqualsLowered(std::string_view s, const char (&lower)[N]) {
+  if (s.size() != N - 1) return false;
+  for (size_t i = 0; i + 1 < N; ++i) {
+    if (ToLowerChar(s[i]) != lower[i]) return false;
+  }
+  return true;
+}
+
+// True when `s` starts with `prefix`.
+template <size_t N>
+bool HasPrefix(std::string_view s, const char (&prefix)[N]) {
+  return s.size() >= N - 1 && std::memcmp(s.data(), prefix, N - 1) == 0;
+}
+
 // The entity index after `tag` in `key`: decimal digits (leading zeros
 // allowed) worth at most UINT32_MAX. The scan stops at the first digit
 // past that bound, so it never overflows and needs no division.
+template <size_t N>
 std::optional<uint32_t> ParseIndexAfter(std::string_view key,
-                                        std::string_view tag) {
-  if (!StartsWith(key, tag) || key.size() == tag.size()) return std::nullopt;
+                                        const char (&tag)[N]) {
+  if (key.size() < N || !HasPrefix(key, tag)) return std::nullopt;
   uint64_t index = 0;
-  for (char c : key.substr(tag.size())) {
+  for (char c : key.substr(N - 1)) {
     if (!IsDigit(c)) return std::nullopt;
     index = index * 10 + static_cast<uint64_t>(c - '0');
     if (index > UINT32_MAX) return std::nullopt;
@@ -22,20 +45,21 @@ std::optional<uint32_t> ParseIndexAfter(std::string_view key,
   return static_cast<uint32_t>(index);
 }
 
-// Parses "B%09u"-style ASINs we generate. Real ASINs are opaque; only our
-// synthetic ids round-trip, which is all the study needs.
-std::optional<uint32_t> ParseAsin(std::string_view key) {
-  if (key.size() != 10) return std::nullopt;
-  return ParseIndexAfter(key, "B");
-}
-
-// First path segment after `prefix` in `path`, stopping at '/'.
-std::string_view SegmentAfter(std::string_view path, std::string_view prefix) {
-  const size_t pos = path.find(prefix);
-  if (pos == std::string_view::npos) return {};
-  std::string_view rest = path.substr(pos + prefix.size());
-  const size_t slash = rest.find('/');
-  return slash == std::string_view::npos ? rest : rest.substr(0, slash);
+// First path segment after the first `prefix` in `path`, stopping at '/'.
+// Entity URLs carry the prefix at offset 0, so that is tried before the
+// search.
+template <size_t N>
+std::string_view SegmentAfter(std::string_view path,
+                              const char (&prefix)[N]) {
+  size_t pos = 0;
+  if (!HasPrefix(path, prefix)) {
+    pos = path.find(prefix, 0, N - 1);
+    if (pos == std::string_view::npos) return {};
+  }
+  const char* const first = path.data() + pos + (N - 1);
+  const char* const last = path.data() + path.size();
+  return std::string_view(
+      first, static_cast<size_t>(std::find(first, last, '/') - first));
 }
 
 }  // namespace
@@ -108,30 +132,29 @@ std::optional<EntityUrlKey> ParseEntityUrl(std::string_view url) {
   const std::string_view host = NormalizeHostView(parsed.host);
   const std::string_view path = parsed.path;
 
-  if (EqualsIgnoreCase(host, "amazon.com")) {
-    // amazon.com/gp/product/[ID] or amazon.com/*/dp/[ID].
+  // The three hosts differ in length, or at length 8 in their first
+  // byte, so a click is compared against one host at most.
+  std::optional<uint32_t> index;
+  TrafficSite site = TrafficSite::kAmazon;
+  if (host.size() == 10) {
+    if (!EqualsLowered(host, "amazon.com")) return std::nullopt;
+    // amazon.com/gp/product/[ID] or amazon.com/*/dp/[ID]. The ids are our
+    // "B%09u" ASINs: real ones are opaque, and only synthetic ids need to
+    // round-trip.
     std::string_view key = SegmentAfter(path, "/gp/product/");
     if (key.empty()) key = SegmentAfter(path, "/dp/");
-    if (key.empty()) return std::nullopt;
-    auto idx = ParseAsin(key);
-    if (!idx) return std::nullopt;
-    return EntityUrlKey{TrafficSite::kAmazon, *idx};
+    if (key.size() == 10) index = ParseIndexAfter(key, "B");
+  } else if (host.size() == 8 && ToLowerChar(host[0]) == 'y') {
+    if (!EqualsLowered(host, "yelp.com")) return std::nullopt;
+    site = TrafficSite::kYelp;
+    index = ParseIndexAfter(SegmentAfter(path, "/biz/"), "biz-");
+  } else if (host.size() == 8) {
+    if (!EqualsLowered(host, "imdb.com")) return std::nullopt;
+    site = TrafficSite::kImdb;
+    index = ParseIndexAfter(SegmentAfter(path, "/title/"), "tt");
   }
-  if (EqualsIgnoreCase(host, "yelp.com")) {
-    const std::string_view key = SegmentAfter(path, "/biz/");
-    if (key.empty()) return std::nullopt;
-    auto idx = ParseIndexAfter(key, "biz-");
-    if (!idx) return std::nullopt;
-    return EntityUrlKey{TrafficSite::kYelp, *idx};
-  }
-  if (EqualsIgnoreCase(host, "imdb.com")) {
-    const std::string_view key = SegmentAfter(path, "/title/");
-    if (key.empty()) return std::nullopt;
-    auto idx = ParseIndexAfter(key, "tt");
-    if (!idx) return std::nullopt;
-    return EntityUrlKey{TrafficSite::kImdb, *idx};
-  }
-  return std::nullopt;
+  if (!index.has_value()) return std::nullopt;
+  return EntityUrlKey{site, *index};
 }
 
 }  // namespace wsd

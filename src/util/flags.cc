@@ -47,6 +47,21 @@ std::optional<double> FlagParser::GetDouble(const std::string& name) const {
   return ParseDouble(*raw);
 }
 
+StatusOr<uint64_t> FlagParser::GetUintInRange(const std::string& name,
+                                              uint64_t fallback, uint64_t lo,
+                                              uint64_t hi) const {
+  const auto raw = Get(name);
+  if (!raw.has_value()) return fallback;
+  const auto value = ParseUint64(*raw);
+  if (!value.has_value() || *value < lo || *value > hi) {
+    return Status::InvalidArgument(StrFormat(
+        "invalid --%s value '%s' (want an integer from %llu to %llu)",
+        name.c_str(), raw->c_str(), static_cast<unsigned long long>(lo),
+        static_cast<unsigned long long>(hi)));
+  }
+  return *value;
+}
+
 bool FlagParser::Has(const std::string& name) const {
   return flags_.contains(name);
 }

@@ -7,6 +7,8 @@
 #include <string_view>
 #include <vector>
 
+#include "util/statusor.h"
+
 namespace wsd {
 
 /// Minimal command-line parser used by the tools: accepts
@@ -27,6 +29,15 @@ class FlagParser {
   /// Parsed numeric flags; nullopt when absent or unparseable.
   std::optional<uint64_t> GetUint(const std::string& name) const;
   std::optional<double> GetDouble(const std::string& name) const;
+
+  /// Value of --name as a decimal integer in [lo, hi], or `fallback` when
+  /// the flag is absent. A malformed or out-of-range value is
+  /// InvalidArgument "invalid --name value 'v' (want an integer from lo
+  /// to hi)"; the tools exit 2 on it.
+  [[nodiscard]] StatusOr<uint64_t> GetUintInRange(const std::string& name,
+                                                  uint64_t fallback,
+                                                  uint64_t lo,
+                                                  uint64_t hi) const;
 
   bool Has(const std::string& name) const;
 

@@ -75,9 +75,6 @@ void AppendFormat(std::string* out, const char* fmt, ...)
 /// *out must grow.
 void AppendZeroPadded(std::string* out, uint64_t v, size_t min_digits);
 
-/// Formats `v` with thousands separators ("1,234,567"); for reports.
-std::string WithCommas(uint64_t v);
-
 }  // namespace wsd
 
 #endif  // WSD_UTIL_STRING_UTIL_H_

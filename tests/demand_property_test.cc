@@ -117,6 +117,37 @@ TEST_P(DemandEstimatorProperty, OrderIndependent) {
   EXPECT_EQ(a.events_skipped, b.events_skipped);
 }
 
+// One entity holds most of a large shuffled log, so its run alone has
+// more than 100,000 keys per channel: the count table grows past every
+// small run's size and probes long chains. Cookies differ only in their
+// high 32 bits, so a hash of the low bits would put every key in one
+// slot; the month byte takes all 256 values on both channels.
+TEST(DemandEstimatorSkew, HeavyRunMatchesBruteForce) {
+  Rng rng(2026);
+  RandomLog log;
+  log.num_entities = 16;
+  constexpr uint32_t kHeavy = 5;
+  for (int i = 0; i < 280000; ++i) {
+    VisitEvent event;
+    event.cookie = (rng.Uniform(20000) << 32) | 0x5eed;
+    event.month = static_cast<uint8_t>(i / 2);  // 0-255 on each channel
+    event.channel =
+        i % 2 == 0 ? TrafficChannel::kSearch : TrafficChannel::kBrowse;
+    const uint32_t entity =
+        i % 10 == 0 ? static_cast<uint32_t>(rng.Uniform(log.num_entities))
+                    : kHeavy;
+    event.url = EntityUrl(TrafficSite::kYelp, entity);
+    log.events.push_back(std::move(event));
+  }
+  rng.Shuffle(log.events);
+
+  std::vector<double> search, browse;
+  BruteForce(log, &search, &browse);
+  ASSERT_GE(search[kHeavy], 100000.0);  // distinct keys, not just clicks
+  ASSERT_LT(browse[kHeavy], 20001.0);   // browse dedups the year
+  ExpectMatchesBruteForce(log);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, DemandEstimatorProperty,
                          ::testing::Range<uint64_t>(500, 525));
 

@@ -94,13 +94,6 @@ TEST(StringUtilTest, StrFormat) {
   EXPECT_EQ(StrFormat("%.2f", 1.005), "1.00");
 }
 
-TEST(StringUtilTest, WithCommas) {
-  EXPECT_EQ(WithCommas(0), "0");
-  EXPECT_EQ(WithCommas(999), "999");
-  EXPECT_EQ(WithCommas(1000), "1,000");
-  EXPECT_EQ(WithCommas(1234567), "1,234,567");
-}
-
 // ---------- hash ----------
 
 TEST(HashTest, Fnv1aIsStable) {

@@ -1,7 +1,7 @@
 // Integration smoke tests for the wsdctl CLI: exit codes, TSV output,
 // the pinned `paper` outputs, and the gen-cache/scan-cache loop,
-// exercised through the real binary. Skipped gracefully if the tools
-// target was not built.
+// exercised through the real binary; plus wsdd's refusal of malformed
+// numeric flags. Skipped gracefully if the tools target was not built.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +12,7 @@
 #include <iterator>
 #include <map>
 #include <string>
+#include <utility>
 
 #include "extract/host_table.h"
 #include "serve/endpoints.h"
@@ -24,15 +25,16 @@ namespace {
 
 namespace fs = std::filesystem;
 
-// The test binary runs with CWD = build/tests; the CLI sits in
-// ../tools/wsdctl. Fall back to a PATH-relative probe for other layouts.
-std::string CliPath() {
-  for (const char* candidate :
-       {"../tools/wsdctl", "./tools/wsdctl", "build/tools/wsdctl"}) {
-    if (fs::exists(candidate)) return candidate;
+// The test binary runs with CWD = build/tests; the tools sit in
+// ../tools/. Fall back to a PATH-relative probe for other layouts.
+std::string ToolPath(const std::string& name) {
+  for (const char* dir : {"../tools/", "./tools/", "build/tools/"}) {
+    if (fs::exists(dir + name)) return dir + name;
   }
   return "";
 }
+
+std::string CliPath() { return ToolPath("wsdctl"); }
 
 // Runs wsdctl with stdout discarded and stderr sent to `err_path`.
 int RunCli(const std::string& args,
@@ -43,6 +45,12 @@ int RunCli(const std::string& args,
       cli + " " + args + " > /dev/null 2> " + err_path;
   const int status = std::system(command.c_str());
   return WEXITSTATUS(status);
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
 }
 
 #define SKIP_WITHOUT_CLI()                              \
@@ -104,6 +112,69 @@ TEST(WsdctlTest, MalformedNumericFlagIsUsageError) {
               2)
         << flags;
   }
+  // bootstrap's trial count runs from 1 to UINT32_MAX: no fallback to one
+  // trial, no truncation past UINT32_MAX.
+  const std::string err =
+      (fs::temp_directory_path() / "wsdctl_bootstrap_seeds.txt").string();
+  const std::string bootstrap =
+      "bootstrap --domain banks --attr phone --entities 300 --scale 0.05 "
+      "--seed 3 --seeds=";
+  for (const std::string seeds : {"abc", "0", "4294967296", "-1", "2x"}) {
+    EXPECT_EQ(RunCli(bootstrap + seeds, err), 2) << seeds;
+    EXPECT_NE(ReadFile(err).find("invalid --seeds value '" + seeds + "'"),
+              std::string::npos)
+        << seeds << ": " << ReadFile(err);
+  }
+  EXPECT_EQ(RunCli(bootstrap + "2"), 0);
+  std::remove(err.c_str());
+}
+
+// wsdd refuses a malformed or out-of-range numeric flag, naming it, before
+// it listens. Each run is bounded by `timeout`: a wsdd that took the value
+// (or fell back to its default) would serve until killed, and the test
+// would see timeout's 124 instead of 2.
+TEST(WsddTest, MalformedNumericFlagIsUsageError) {
+  const std::string wsdd = ToolPath("wsdd");
+  if (wsdd.empty()) GTEST_SKIP() << "wsdd binary not found";
+  const std::string out =
+      (fs::temp_directory_path() / "wsdd_flags_out.txt").string();
+  const std::string err =
+      (fs::temp_directory_path() / "wsdd_flags_err.txt").string();
+  const auto run = [&](const std::string& flags, int seconds) {
+    const std::string command = "timeout " + std::to_string(seconds) + " " +
+                                wsdd + " " + flags + " > " + out + " 2> " +
+                                err;
+    return WEXITSTATUS(std::system(command.c_str()));
+  };
+  const std::pair<std::string, std::string> bad[] = {
+      {"port", "70000"},
+      {"port", "-1"},
+      {"port", "abc"},
+      {"cache-bytes", "abc"},
+      {"cache-bytes", "18446744073709551616"},
+      {"response-cache-bytes", "1e6"},
+      {"conn-threads", "0"},
+      {"conn-threads", "x"},
+      {"read-timeout-ms", "0"},
+      {"read-timeout-ms", "5s"},
+  };
+  for (const auto& [flag, value] : bad) {
+    const std::string flags =
+        (flag == "port" ? "" : "--port=0 ") + ("--" + flag + "=" + value);
+    const std::string want = "invalid --" + flag + " value '" + value + "'";
+    EXPECT_EQ(run(flags, 10), 2) << flags;
+    EXPECT_NE(ReadFile(err).find(want), std::string::npos)
+        << flags << ": " << ReadFile(err);
+  }
+  // In-range values start the server, which serves until the timeout.
+  const std::string good =
+      "--port=0 --cache-bytes=0 --response-cache-bytes=0 --conn-threads=2 "
+      "--read-timeout-ms=100";
+  EXPECT_EQ(run(good, 2), 124);
+  EXPECT_NE(ReadFile(out).find("wsdd: listening on"), std::string::npos)
+      << ReadFile(out) << ReadFile(err);
+  std::remove(out.c_str());
+  std::remove(err.c_str());
 }
 
 TEST(WsdctlTest, GenCacheThenScanCache) {
@@ -126,12 +197,6 @@ TEST(WsdctlTest, GraphCommandRuns) {
   EXPECT_EQ(RunCli("graph --domain banks --attr phone --entities 300 "
                 "--scale 0.05 --seed 3"),
             0);
-}
-
-std::string ReadFile(const std::string& path) {
-  std::ifstream in(path);
-  return std::string(std::istreambuf_iterator<char>(in),
-                     std::istreambuf_iterator<char>());
 }
 
 // A known pair whose catalog lacks the identifier (books have no phones)

@@ -265,6 +265,9 @@ int CmdValue(const Args& args, const StudyOptions& options) {
 int CmdBootstrap(const Args& args, const StudyOptions& options) {
   const auto pair = ParsePair(args);
   if (!pair) return 2;
+  const auto seeds = args.GetUintInRange("seeds", 1, 1, UINT32_MAX);
+  if (!Ok(seeds)) return 2;
+  const auto seed_count = static_cast<uint32_t>(*seeds);
   Study study(options);
   auto scan = study.RunScan(pair->domain, pair->attr);
   if (!Ok(scan)) return 1;
@@ -272,12 +275,6 @@ int CmdBootstrap(const Args& args, const StudyOptions& options) {
       scan->table, options.ScaledEntities());
   const auto diameter = ExactDiameter(graph, 20000, &study.pool());
   Rng rng(options.seed ^ 0xb0075ULL);
-  uint32_t seed_count = 1;
-  if (auto v = args.Get("seeds")) {
-    if (auto n = ParseUint64(*v); n && *n > 0) {
-      seed_count = static_cast<uint32_t>(*n);
-    }
-  }
   auto stats = BootstrapRandomSeeds(graph, seed_count, 25, rng);
   if (!Ok(stats)) return 1;
   std::cout << "graph diameter " << diameter.diameter << " (bound: at most "

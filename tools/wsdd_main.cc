@@ -18,11 +18,15 @@
 //   --conn-threads=N     concurrent connections served (default 16)
 //   --read-timeout-ms=N  idle/read socket timeout, also the bound on each
 //                        blocked send (default 5000)
+// A malformed or out-of-range numeric flag (port above 65535, zero
+// connection threads or timeout) exits 2.
 //
 // Shutdown: SIGINT or SIGTERM drains in-flight requests and exits 0.
 
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <unistd.h>
 
 #include "serve/endpoints.h"
@@ -67,30 +71,46 @@ int Main(int argc, char** argv) {
   }
   const StudyOptions& base = *parsed;
 
-  size_t cache_bytes = 256u * 1024 * 1024;
-  if (auto v = args.GetUint("cache-bytes")) {
-    cache_bytes = static_cast<size_t>(*v);
-  }
-  ScanHandleCache cache(base, cache_bytes);
   ServeContext ctx;
   ctx.base = base;
-  ctx.cache = &cache;
-  if (auto v = args.GetUint("response-cache-bytes")) {
-    ctx.responses.set_max_bytes(static_cast<size_t>(*v));
-  }
-
   ServerOptions server_options;
-  server_options.port = 8080;
-  if (auto v = args.GetUint("port")) {
-    server_options.port = static_cast<uint16_t>(*v);
-  }
   server_options.bind_address = args.GetOr("address", "127.0.0.1");
-  if (auto v = args.GetUint("conn-threads"); v && *v > 0) {
-    server_options.connection_threads = static_cast<uint32_t>(*v);
+
+  // Every numeric flag: a malformed or out-of-range value exits 2, like
+  // a malformed study flag, instead of keeping its default.
+  uint64_t cache_bytes = 256u * 1024 * 1024;
+  uint64_t response_cache_bytes = ctx.responses.max_bytes();
+  uint64_t port = 8080;
+  uint64_t conn_threads = server_options.connection_threads;
+  uint64_t read_timeout_ms = server_options.read_timeout_ms;
+  struct NumericFlag {
+    const char* name;
+    uint64_t* value;
+    uint64_t lo, hi;
+  };
+  constexpr uint64_t kMaxSize = std::numeric_limits<size_t>::max();
+  const NumericFlag numeric_flags[] = {
+      {"cache-bytes", &cache_bytes, 0, kMaxSize},
+      {"response-cache-bytes", &response_cache_bytes, 0, kMaxSize},
+      {"port", &port, 0, 65535},
+      {"conn-threads", &conn_threads, 1, UINT32_MAX},
+      {"read-timeout-ms", &read_timeout_ms, 1, UINT32_MAX},
+  };
+  for (const NumericFlag& flag : numeric_flags) {
+    const auto v =
+        args.GetUintInRange(flag.name, *flag.value, flag.lo, flag.hi);
+    if (!v.ok()) {
+      std::fprintf(stderr, "wsdd: %s\n", v.status().ToString().c_str());
+      return 2;
+    }
+    *flag.value = *v;
   }
-  if (auto v = args.GetUint("read-timeout-ms"); v && *v > 0) {
-    server_options.read_timeout_ms = static_cast<uint32_t>(*v);
-  }
+  ctx.responses.set_max_bytes(static_cast<size_t>(response_cache_bytes));
+  server_options.port = static_cast<uint16_t>(port);
+  server_options.connection_threads = static_cast<uint32_t>(conn_threads);
+  server_options.read_timeout_ms = static_cast<uint32_t>(read_timeout_ms);
+  ScanHandleCache cache(base, static_cast<size_t>(cache_bytes));
+  ctx.cache = &cache;
 
   if (::pipe(g_shutdown_pipe) != 0) {
     WSD_LOG(kError) << "pipe() failed; cannot install signal handlers";
