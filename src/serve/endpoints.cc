@@ -1,12 +1,8 @@
 #include "serve/endpoints.h"
 
-#include <optional>
+#include <tuple>
 #include <utility>
-#include <vector>
 
-#include "core/connectivity.h"
-#include "core/coverage.h"
-#include "core/set_cover.h"
 #include "extract/attribute_registry.h"
 #include "traffic/demand.h"
 #include "util/metrics.h"
@@ -78,7 +74,8 @@ bool ParseSeedScale(const HttpRequest& req, const StudyOptions& base,
   }
   if (auto v = req.QueryParam("scale")) {
     const auto parsed = ParseDouble(*v);
-    if (!parsed.has_value() || *parsed <= 0 || *parsed > 64) {
+    // Written so that NaN, which fails every comparison, is refused too.
+    if (!parsed.has_value() || !(*parsed > 0 && *parsed <= 64)) {
       Fail(resp, 400, "invalid scale parameter (want 0 < scale <= 64)");
       return false;
     }
@@ -117,110 +114,76 @@ bool ParseDomainAttr(const HttpRequest& req, Domain* domain, Attribute* attr,
 // ---------------------------------------------------------------------
 // Endpoint handlers.
 
-void HandleSpread(ServeContext& ctx, const HttpRequest& req,
-                  HttpResponse* resp) {
+// Renders a memoized analysis as a 200 in the negotiated format, or its
+// failure as a 503.
+template <typename T, typename Render>
+void ServeAnalysis(const StatusOr<std::shared_ptr<const T>>& result,
+                   WireFormat format, const Render& render,
+                   HttpResponse* resp) {
+  if (!result.ok()) {
+    Fail(resp, 503, result.status().message());
+    return;
+  }
+  resp->content_type = format == WireFormat::kTsv ? "text/tab-separated-values"
+                                                  : "application/json";
+  resp->body = render(**result, format);
+}
+
+// The rows k = 1..max_k of a memoized k-coverage curve, which are the rows
+// ComputeKCoverage returns at max_k.
+CoverageCurve FirstRows(const CoverageCurve& curve, uint32_t max_k) {
+  CoverageCurve rows;
+  rows.t_values = curve.t_values;
+  rows.k_coverage.assign(curve.k_coverage.begin(),
+                         curve.k_coverage.begin() + max_k);
+  rows.num_entities = curve.num_entities;
+  rows.num_sites = curve.num_sites;
+  return rows;
+}
+
+// /spread, /setcover and /graph: one lookup path. The query names a scan;
+// the scan cache's memo for it holds the analysis, computed on its first
+// request, so only the body is rendered here.
+void HandleScanAnalysis(ServeContext& ctx, const HttpRequest& req,
+                        WireFormat format, HttpResponse* resp) {
   Domain domain;
   Attribute attr;
   uint64_t seed = 0;
   double scale = 1.0;
   if (!ParseDomainAttr(req, &domain, &attr, resp)) return;
   if (!ParseSeedScale(req, ctx.base, &seed, &scale, resp)) return;
-  uint32_t max_k = 10;
-  if (auto v = req.QueryParam("k")) {
-    const auto parsed = ParseUint64(*v);
-    if (!parsed.has_value() || *parsed < 1 || *parsed > 32) {
-      Fail(resp, 400, "invalid k parameter (want 1..32)");
-      return;
+  const ScanHandleCache::Key key{domain, attr, seed, scale};
+  if (req.path == "/spread") {
+    uint32_t max_k = 10;
+    if (auto v = req.QueryParam("k")) {
+      const auto parsed = ParseUint64(*v);
+      if (!parsed.has_value() || *parsed < 1 ||
+          *parsed > ScanHandleCache::kMaxK) {
+        Fail(resp, 400, "invalid k parameter (want 1..32)");
+        return;
+      }
+      max_k = static_cast<uint32_t>(*parsed);
     }
-    max_k = static_cast<uint32_t>(*parsed);
+    ServeAnalysis(
+        ctx.cache->KCoverage(key), format,
+        [&](const CoverageCurve& curve, WireFormat f) {
+          return SpreadBody(domain, attr, FirstRows(curve, max_k), f);
+        },
+        resp);
+  } else if (req.path == "/setcover") {
+    ServeAnalysis(
+        ctx.cache->SetCover(key), format,
+        [&](const SetCoverCurve& curve, WireFormat f) {
+          return SetCoverBody(domain, attr, curve, f);
+        },
+        resp);
+  } else {
+    ServeAnalysis(ctx.cache->GraphMetrics(key), format, GraphBody, resp);
   }
-
-  auto scan = ctx.cache->Get({domain, attr, seed, scale});
-  if (!scan.ok()) {
-    Fail(resp, 503, scan.status().message());
-    return;
-  }
-  StudyOptions options = ctx.base;
-  options.seed = seed;
-  options.scale = scale;
-  auto curve = ComputeKCoverage(
-      (*scan)->table, options.ScaledEntities(), max_k,
-      DefaultCoverageTValues(
-          static_cast<uint32_t>((*scan)->table.num_hosts())));
-  if (!curve.ok()) {
-    Fail(resp, 400, curve.status().message());
-    return;
-  }
-  const WireFormat format = NegotiateFormat(req);
-  resp->content_type =
-      format == WireFormat::kTsv ? "text/tab-separated-values" : "application/json";
-  resp->body = SpreadBody(domain, attr, *curve, format);
-}
-
-void HandleSetCover(ServeContext& ctx, const HttpRequest& req,
-                    HttpResponse* resp) {
-  Domain domain;
-  Attribute attr;
-  uint64_t seed = 0;
-  double scale = 1.0;
-  if (!ParseDomainAttr(req, &domain, &attr, resp)) return;
-  if (!ParseSeedScale(req, ctx.base, &seed, &scale, resp)) return;
-
-  auto scan = ctx.cache->Get({domain, attr, seed, scale});
-  if (!scan.ok()) {
-    Fail(resp, 503, scan.status().message());
-    return;
-  }
-  StudyOptions options = ctx.base;
-  options.seed = seed;
-  options.scale = scale;
-  auto curve = GreedySetCover(
-      (*scan)->table, options.ScaledEntities(),
-      DefaultCoverageTValues(
-          static_cast<uint32_t>((*scan)->table.num_hosts())));
-  if (!curve.ok()) {
-    Fail(resp, 503, curve.status().message());
-    return;
-  }
-  const WireFormat format = NegotiateFormat(req);
-  resp->content_type =
-      format == WireFormat::kTsv ? "text/tab-separated-values" : "application/json";
-  resp->body = SetCoverBody(domain, attr, *curve, format);
-}
-
-void HandleGraph(ServeContext& ctx, const HttpRequest& req,
-                 HttpResponse* resp) {
-  Domain domain;
-  Attribute attr;
-  uint64_t seed = 0;
-  double scale = 1.0;
-  if (!ParseDomainAttr(req, &domain, &attr, resp)) return;
-  if (!ParseSeedScale(req, ctx.base, &seed, &scale, resp)) return;
-
-  auto scan = ctx.cache->Get({domain, attr, seed, scale});
-  if (!scan.ok()) {
-    Fail(resp, 503, scan.status().message());
-    return;
-  }
-  StudyOptions options = ctx.base;
-  options.seed = seed;
-  options.scale = scale;
-  // Serial on purpose: requests are already parallel across connections,
-  // and sharing one pool across requests would serialize them anyway.
-  auto row = ComputeGraphMetrics(domain, attr, (*scan)->table,
-                                 options.ScaledEntities(), nullptr);
-  if (!row.ok()) {
-    Fail(resp, 503, row.status().message());
-    return;
-  }
-  const WireFormat format = NegotiateFormat(req);
-  resp->content_type =
-      format == WireFormat::kTsv ? "text/tab-separated-values" : "application/json";
-  resp->body = GraphBody(*row, format);
 }
 
 void HandleDemand(ServeContext& ctx, const HttpRequest& req,
-                  HttpResponse* resp) {
+                  WireFormat format, HttpResponse* resp) {
   const auto site =
       FindTrafficSiteByName(req.QueryParam("site").value_or("yelp"));
   if (!site.has_value()) {
@@ -232,34 +195,22 @@ void HandleDemand(ServeContext& ctx, const HttpRequest& req,
   double scale = 1.0;
   if (!ParseSeedScale(req, ctx.base, &seed, &scale, resp)) return;
 
-  const std::tuple<int, uint64_t, double> key(static_cast<int>(*site), seed,
-                                              scale);
-  std::shared_ptr<const Study::ValueStudyResult> result;
+  ComputeOnce<Study::ValueStudyResult>* slot = nullptr;
   {
     MutexLock lock(ctx.demand_mu);
-    auto it = ctx.demand_memo.find(key);
-    if (it != ctx.demand_memo.end()) result = it->second;
+    slot = &ctx.demand_memo
+                .try_emplace(std::make_tuple(static_cast<int>(*site), seed,
+                                             scale))
+                .first->second;
   }
-  if (result == nullptr) {
+  const auto result = slot->Get([&] {
     StudyOptions options = ctx.base;
     options.seed = seed;
     options.scale = scale;
     options.threads = 1;  // value studies are single-threaded anyway
-    Study study(options);
-    auto computed = study.RunValueStudy(*site);
-    if (!computed.ok()) {
-      Fail(resp, 503, computed.status().message());
-      return;
-    }
-    result = std::make_shared<const Study::ValueStudyResult>(
-        std::move(computed).value());
-    MutexLock lock(ctx.demand_mu);
-    ctx.demand_memo.emplace(key, result);
-  }
-  const WireFormat format = NegotiateFormat(req);
-  resp->content_type =
-      format == WireFormat::kTsv ? "text/tab-separated-values" : "application/json";
-  resp->body = DemandBody(*result, format);
+    return Study(options).RunValueStudy(*site);
+  });
+  ServeAnalysis(result, format, DemandBody, resp);
 }
 
 void HandleMetrics(const HttpRequest& req, HttpResponse* resp) {
@@ -403,16 +354,13 @@ void HandleRequest(ServeContext& ctx, const HttpRequest& req,
     // Analysis responses are deterministic in (target, format, base
     // options), so a rendered body never goes stale and the memo needs
     // no invalidation.
-    const std::string key = ResponseCacheKey(req, NegotiateFormat(req));
+    const WireFormat format = NegotiateFormat(req);
+    const std::string key = ResponseCacheKey(req, format);
     if (!ctx.responses.Lookup(key, resp)) {
-      if (req.path == "/spread") {
-        HandleSpread(ctx, req, resp);
-      } else if (req.path == "/setcover") {
-        HandleSetCover(ctx, req, resp);
-      } else if (req.path == "/graph") {
-        HandleGraph(ctx, req, resp);
+      if (req.path == "/demand") {
+        HandleDemand(ctx, req, format, resp);
       } else {
-        HandleDemand(ctx, req, resp);
+        HandleScanAnalysis(ctx, req, format, resp);
       }
       if (resp->status == 200) ctx.responses.Insert(key, *resp);
     }

@@ -36,8 +36,9 @@ namespace wsd {
 /// target, negotiated format). Safe with no invalidation: every analysis
 /// is deterministic in its parameters and the server's base options, so
 /// a rendered body can never go stale. This is what lets a warm wsdd
-/// serve repeated queries at socket speed instead of re-running the
-/// O(sites + edges) analysis per request. Thread-safe.
+/// serve repeated queries at socket speed instead of rendering them
+/// again; a miss renders from the analysis the scan cache memoizes with
+/// the scan. Thread-safe.
 class ResponseCache {
  public:
   struct Stats {
@@ -99,11 +100,13 @@ struct ServeContext {
   ResponseCache responses{64u * 1024 * 1024};
 
   /// Memo for /demand: value studies do not flow through the scan cache
-  /// (they read traffic logs, not host tables), so repeated queries for
-  /// the same (site, seed, scale) reuse the first run's result.
+  /// (they read traffic logs, not host tables), so each (site, seed,
+  /// scale) has its own compute-once slot: one value study runs, and
+  /// concurrent and later queries share its result. Entries are never
+  /// erased, so a slot's address stays valid without the lock.
   Mutex demand_mu;
   std::map<std::tuple<int, uint64_t, double>,
-           std::shared_ptr<const Study::ValueStudyResult>>
+           ComputeOnce<Study::ValueStudyResult>>
       demand_memo GUARDED_BY(demand_mu);
 };
 

@@ -16,6 +16,8 @@ struct CacheMetrics {
   Counter& oversized_admits;
   Gauge& bytes;
   Gauge& entries;
+  Counter& memo_hits;
+  Counter& memo_misses;
 
   static CacheMetrics& Get() {
     static CacheMetrics* m = [] {
@@ -27,13 +29,40 @@ struct CacheMetrics {
           reg.GetCounter("wsd.serve.scan_cache.oversized_admits"),
           reg.GetGauge("wsd.serve.scan_cache.bytes"),
           reg.GetGauge("wsd.serve.scan_cache.entries"),
+          reg.GetCounter("wsd.serve.analysis_memo.hits"),
+          reg.GetCounter("wsd.serve.analysis_memo.misses"),
       };
     }();
     return *m;
   }
 };
 
+// Approximate resident bytes of each memoized analysis, on the same terms
+// as ApproxScanResultBytes.
+size_t ApproxBytes(const CoverageCurve& curve) {
+  size_t bytes = sizeof(curve) + curve.t_values.capacity() * sizeof(uint32_t);
+  for (const auto& series : curve.k_coverage) {
+    bytes += sizeof(series) + series.capacity() * sizeof(double);
+  }
+  return bytes;
+}
+
+size_t ApproxBytes(const SetCoverCurve& curve) {
+  return sizeof(curve) +
+         (curve.t_values.capacity() + curve.greedy_order.capacity()) *
+             sizeof(uint32_t) +
+         (curve.greedy_coverage.capacity() + curve.size_coverage.capacity()) *
+             sizeof(double);
+}
+
+size_t ApproxBytes(const GraphMetricsRow& row) { return sizeof(row); }
+
 }  // namespace
+
+void CountAnalysisMemo(bool computed) {
+  CacheMetrics& metrics = CacheMetrics::Get();
+  (computed ? metrics.memo_misses : metrics.memo_hits).Increment();
+}
 
 size_t ApproxScanResultBytes(const ScanResult& result) {
   size_t bytes = sizeof(ScanResult);
@@ -56,6 +85,77 @@ void ScanHandleCache::WaitWhileInflight(const Key& key) {
 
 StatusOr<std::shared_ptr<const ScanResult>> ScanHandleCache::Get(
     const Key& key) {
+  StatusOr<Entry> entry = Resolve(key);
+  if (!entry.ok()) return entry.status();
+  return entry->result;
+}
+
+StatusOr<std::shared_ptr<const CoverageCurve>> ScanHandleCache::KCoverage(
+    const Key& key) {
+  return Analyze(key, &ScanAnalyses::k_coverage,
+                 [](const HostEntityTable& table, uint32_t entities) {
+                   return ComputeKCoverage(
+                       table, entities, kMaxK,
+                       DefaultCoverageTValues(
+                           static_cast<uint32_t>(table.num_hosts())));
+                 });
+}
+
+StatusOr<std::shared_ptr<const SetCoverCurve>> ScanHandleCache::SetCover(
+    const Key& key) {
+  return Analyze(key, &ScanAnalyses::set_cover,
+                 [](const HostEntityTable& table, uint32_t entities) {
+                   return GreedySetCover(
+                       table, entities,
+                       DefaultCoverageTValues(
+                           static_cast<uint32_t>(table.num_hosts())));
+                 });
+}
+
+StatusOr<std::shared_ptr<const GraphMetricsRow>> ScanHandleCache::GraphMetrics(
+    const Key& key) {
+  // Serial on purpose: requests are already parallel across connections,
+  // and sharing one pool across requests would serialize them anyway.
+  return Analyze(key, &ScanAnalyses::graph,
+                 [&key](const HostEntityTable& table, uint32_t entities) {
+                   return ComputeGraphMetrics(key.domain, key.attr, table,
+                                              entities, nullptr);
+                 });
+}
+
+template <typename T, typename Compute>
+StatusOr<std::shared_ptr<const T>> ScanHandleCache::Analyze(
+    const Key& key, ComputeOnce<T> ScanAnalyses::*slot,
+    const Compute& compute) {
+  StatusOr<Entry> entry = Resolve(key);
+  if (!entry.ok()) return entry.status();
+  StudyOptions options = base_;
+  options.scale = key.scale;
+  const uint32_t entities = options.ScaledEntities();
+  const ScanResult& scan = *entry->result;
+  const ScanAnalyses* analyses = entry->analyses.get();
+  return ((*entry->analyses).*slot).Get([&]() -> StatusOr<T> {
+    StatusOr<T> result = compute(scan.table, entities);
+    if (result.ok()) AddAnalysisBytes(key, analyses, ApproxBytes(*result));
+    return result;
+  });
+}
+
+void ScanHandleCache::AddAnalysisBytes(const Key& key,
+                                       const ScanAnalyses* analyses,
+                                       size_t bytes) {
+  MutexLock lock(mu_);
+  auto it = entries_.find(key);
+  if (it == entries_.end() || it->second.analyses.get() != analyses) return;
+  it->second.bytes += bytes;
+  total_bytes_ += bytes;
+  EvictLocked();
+  CacheMetrics& metrics = CacheMetrics::Get();
+  metrics.bytes.Set(static_cast<double>(total_bytes_));
+  metrics.entries.Set(static_cast<double>(entries_.size()));
+}
+
+StatusOr<ScanHandleCache::Entry> ScanHandleCache::Resolve(const Key& key) {
   CacheMetrics& metrics = CacheMetrics::Get();
   {
     MutexLock lock(mu_);
@@ -65,7 +165,7 @@ StatusOr<std::shared_ptr<const ScanResult>> ScanHandleCache::Get(
         it->second.last_used = ++tick_;
         ++hits_;
         metrics.hits.Increment();
-        return it->second.result;
+        return it->second;
       }
       // Miss. If another thread is already scanning this key, wait it
       // out, then RE-CHECK eviction from the top: between the scanner's
@@ -85,27 +185,27 @@ StatusOr<std::shared_ptr<const ScanResult>> ScanHandleCache::Get(
 
   // Scan outside the lock. An ephemeral Study resolves through its own
   // memo and the on-disk ArtifactStore exactly like a CLI run would; we
-  // then keep only the shared result so the memo does not pin memory.
+  // then keep only the shared result so the Study's memo does not pin
+  // memory.
   StudyOptions options = base_;
   options.seed = key.seed;
   options.scale = key.scale;
-  StatusOr<std::shared_ptr<const ScanResult>> outcome = [&] {
+  StatusOr<Entry> outcome = [&]() -> StatusOr<Entry> {
     Study study(options);
     auto handle = study.Scan(key.domain, key.attr);
-    if (!handle.ok()) {
-      return StatusOr<std::shared_ptr<const ScanResult>>(handle.status());
-    }
-    return StatusOr<std::shared_ptr<const ScanResult>>(
-        handle->shared_result());
+    if (!handle.ok()) return handle.status();
+    Entry entry;
+    entry.result = handle->shared_result();
+    entry.analyses = std::make_shared<ScanAnalyses>();
+    entry.bytes = ApproxScanResultBytes(*entry.result) + sizeof(ScanAnalyses);
+    return entry;
   }();
 
   {
     MutexLock lock(mu_);
     inflight_.erase(key);
     if (outcome.ok()) {
-      Entry entry;
-      entry.result = *outcome;
-      entry.bytes = ApproxScanResultBytes(*entry.result);
+      Entry& entry = *outcome;
       entry.last_used = ++tick_;
       total_bytes_ += entry.bytes;
       if (entry.bytes > max_bytes_) {
@@ -117,7 +217,7 @@ StatusOr<std::shared_ptr<const ScanResult>> ScanHandleCache::Get(
             << " (" << entry.bytes << " bytes > budget " << max_bytes_
             << "); it will be evicted as soon as another key is used";
       }
-      entries_[key] = std::move(entry);
+      entries_[key] = entry;
       EvictLocked();
       metrics.bytes.Set(static_cast<double>(total_bytes_));
       metrics.entries.Set(static_cast<double>(entries_.size()));

@@ -8,6 +8,12 @@
 /// first caller scans, the rest block on a condition variable and share
 /// the result.
 ///
+/// Each entry also memoizes the three analyses `wsdd` derives from its
+/// scan: the k-coverage curve up to kMaxK, the greedy set cover and the
+/// Table 2 row. Each is computed on its first request, so a response-cache
+/// miss on a resident scan only renders. The memo goes with its entry,
+/// and its bytes count toward the same budget.
+///
 /// Unlike a long-lived Study (whose memo pins every result it ever
 /// produced), the cache builds an *ephemeral* Study per miss and keeps
 /// only the shared_ptr<const ScanResult>, so LRU eviction genuinely
@@ -24,6 +30,9 @@
 #include <set>
 #include <tuple>
 
+#include "core/connectivity.h"
+#include "core/coverage.h"
+#include "core/set_cover.h"
 #include "core/study.h"
 #include "entity/domains.h"
 #include "extract/scan_pipeline.h"
@@ -36,6 +45,58 @@ namespace wsd {
 /// vectors + fixed struct overhead). Used for the cache byte budget;
 /// exact malloc accounting is not the point — relative sizes are.
 size_t ApproxScanResultBytes(const ScanResult& result);
+
+/// Counts one memoized-analysis lookup: on wsd.serve.analysis_memo.misses
+/// when it ran the computation, on .hits otherwise.
+void CountAnalysisMemo(bool computed);
+
+/// A result computed once, on its first request. The first caller of Get
+/// runs `compute`; callers that arrive while it runs wait for it and share
+/// its result, as ScanHandleCache does for scans. A failure goes to the
+/// caller that computed it and is not kept, so a waiter then computes
+/// again. Every Get counts through CountAnalysisMemo. Thread-safe.
+template <typename T>
+class ComputeOnce {
+ public:
+  ComputeOnce() = default;
+
+  ComputeOnce(const ComputeOnce&) = delete;
+  ComputeOnce& operator=(const ComputeOnce&) = delete;
+
+  /// The result, computed by `compute()` (a StatusOr<T>) when no caller
+  /// has computed it yet.
+  template <typename Compute>
+  [[nodiscard]] StatusOr<std::shared_ptr<const T>> Get(
+      const Compute& compute) {
+    {
+      MutexLock lock(mu_);
+      while (value_ == nullptr && computing_) done_.Wait(mu_);
+      CountAnalysisMemo(value_ == nullptr);
+      if (value_ != nullptr) return value_;
+      computing_ = true;
+    }
+    StatusOr<T> computed = compute();
+    MutexLock lock(mu_);
+    computing_ = false;
+    done_.NotifyAll();
+    if (!computed.ok()) return computed.status();
+    value_ = std::make_shared<const T>(std::move(computed).value());
+    return value_;
+  }
+
+ private:
+  Mutex mu_;
+  CondVar done_;
+  bool computing_ GUARDED_BY(mu_) = false;
+  std::shared_ptr<const T> value_ GUARDED_BY(mu_);
+};
+
+/// The analyses `wsdd` serves from one scan, memoized with its cache entry.
+struct ScanAnalyses {
+  ComputeOnce<CoverageCurve> k_coverage;  // k = 1..ScanHandleCache::kMaxK
+  ComputeOnce<SetCoverCurve> set_cover;
+  ComputeOnce<GraphMetricsRow> graph;
+};
 
 /// LRU cache of shared scan results keyed by (domain, attr, seed,
 /// scale). Thread-safe. Misses run a real scan via an ephemeral Study
@@ -54,6 +115,11 @@ class ScanHandleCache {
              std::tie(o.domain, o.attr, o.seed, o.scale);
     }
   };
+
+  /// The largest k /spread answers: the memoized k-coverage curve has
+  /// this many rows, and its first K rows are ComputeKCoverage's at K
+  /// because an entity's count saturates only above K.
+  static constexpr uint32_t kMaxK = 32;
 
   struct Stats {
     uint64_t hits = 0;
@@ -88,6 +154,18 @@ class ScanHandleCache {
   [[nodiscard]] StatusOr<std::shared_ptr<const ScanResult>> Get(
       const Key& key);
 
+  /// The analyses of `key`'s scan (fetched as Get does), each computed on
+  /// its first request and kept in the entry's memo until the entry is
+  /// evicted: k-coverage for k = 1..kMaxK at DefaultCoverageTValues, the
+  /// greedy set cover at the same t values, and the Table 2 row. A failure
+  /// is returned and not kept.
+  [[nodiscard]] StatusOr<std::shared_ptr<const CoverageCurve>> KCoverage(
+      const Key& key);
+  [[nodiscard]] StatusOr<std::shared_ptr<const SetCoverCurve>> SetCover(
+      const Key& key);
+  [[nodiscard]] StatusOr<std::shared_ptr<const GraphMetricsRow>> GraphMetrics(
+      const Key& key);
+
   /// Point-in-time counters (also mirrored into wsd.serve.scan_cache.*
   /// registry metrics).
   Stats GetStats() const;
@@ -111,9 +189,27 @@ class ScanHandleCache {
  private:
   struct Entry {
     std::shared_ptr<const ScanResult> result;
-    size_t bytes = 0;
+    std::shared_ptr<ScanAnalyses> analyses;
+    size_t bytes = 0;  // the scan, the memo and every result it holds
     uint64_t last_used = 0;  // LRU tick
   };
+
+  /// The entry for `key`, scanning on a miss as Get documents. The copy
+  /// keeps the scan and its memo alive past an eviction.
+  [[nodiscard]] StatusOr<Entry> Resolve(const Key& key);
+
+  /// `slot` of `key`'s memo, computed by `compute(table, entities)` on the
+  /// first request; a computed result's bytes go to AddAnalysisBytes.
+  template <typename T, typename Compute>
+  [[nodiscard]] StatusOr<std::shared_ptr<const T>> Analyze(
+      const Key& key, ComputeOnce<T> ScanAnalyses::*slot,
+      const Compute& compute);
+
+  /// Charges `bytes` to `key`'s entry if it still holds `analyses` (it
+  /// may have been evicted while they were computed), then evicts over
+  /// budget.
+  void AddAnalysisBytes(const Key& key, const ScanAnalyses* analyses,
+                        size_t bytes);
 
   /// Drops LRU entries until total_bytes_ <= max_bytes_.
   void EvictLocked() REQUIRES(mu_);

@@ -45,6 +45,14 @@ std::optional<uint32_t> ParseIndexAfter(std::string_view key,
   return static_cast<uint32_t>(index);
 }
 
+// The bytes of `path` from `offset` up to the next '/'.
+std::string_view SegmentFrom(std::string_view path, size_t offset) {
+  const char* const first = path.data() + offset;
+  const char* const last = path.data() + path.size();
+  return std::string_view(
+      first, static_cast<size_t>(std::find(first, last, '/') - first));
+}
+
 // First path segment after the first `prefix` in `path`, stopping at '/'.
 // Entity URLs carry the prefix at offset 0, so that is tried before the
 // search.
@@ -56,10 +64,36 @@ std::string_view SegmentAfter(std::string_view path,
     pos = path.find(prefix, 0, N - 1);
     if (pos == std::string_view::npos) return {};
   }
-  const char* const first = path.data() + pos + (N - 1);
-  const char* const last = path.data() + path.size();
-  return std::string_view(
-      first, static_cast<size_t>(std::find(first, last, '/') - first));
+  return SegmentFrom(path, pos + (N - 1));
+}
+
+constexpr char kGpProduct[] = "/gp/product/";
+constexpr char kDp[] = "/dp/";
+
+// Amazon's key: the segment after the first "/gp/product/" when it is
+// non-empty, otherwise the segment after the first "/dp/". Both prefixes
+// open with '/', so the walk over the path's '/' bytes stops at the first
+// that opens either, and the search for the other resumes from there
+// instead of starting over.
+std::string_view AmazonKey(std::string_view path) {
+  for (size_t i = 0; i < path.size(); i = path.find('/', i + 1)) {
+    const std::string_view rest = path.substr(i);
+    if (HasPrefix(rest, kGpProduct)) {
+      const std::string_view key = SegmentFrom(rest, sizeof(kGpProduct) - 1);
+      // An empty key means rest[12] is '/' or the end, so no "/dp/" opens
+      // inside the prefix.
+      return key.empty()
+                 ? SegmentAfter(rest.substr(sizeof(kGpProduct) - 1), kDp)
+                 : key;
+    }
+    if (HasPrefix(rest, kDp)) {
+      // "/gp/product/" may open at the prefix's closing '/'.
+      const std::string_view key =
+          SegmentAfter(rest.substr(sizeof(kDp) - 2), kGpProduct);
+      return key.empty() ? SegmentFrom(rest, sizeof(kDp) - 1) : key;
+    }
+  }
+  return {};
 }
 
 }  // namespace
@@ -141,8 +175,7 @@ std::optional<EntityUrlKey> ParseEntityUrl(std::string_view url) {
     // amazon.com/gp/product/[ID] or amazon.com/*/dp/[ID]. The ids are our
     // "B%09u" ASINs: real ones are opaque, and only synthetic ids need to
     // round-trip.
-    std::string_view key = SegmentAfter(path, "/gp/product/");
-    if (key.empty()) key = SegmentAfter(path, "/dp/");
+    const std::string_view key = AmazonKey(path);
     if (key.size() == 10) index = ParseIndexAfter(key, "B");
   } else if (host.size() == 8 && ToLowerChar(host[0]) == 'y') {
     if (!EqualsLowered(host, "yelp.com")) return std::nullopt;

@@ -1,9 +1,10 @@
 // Concurrency stress for the serve-layer caches: 8 threads hammer a
-// ResponseCache and a ScanHandleCache with mixed hit / miss / evict
-// traffic under deliberately tiny budgets. The assertions are coarse
-// arithmetic invariants; the real payload is the interleavings — built
-// with -DWSD_SANITIZE=thread this is the dynamic (TSan) probe for the
-// same lock discipline that clang -Wthread-safety checks statically.
+// ResponseCache, a ScanHandleCache and its analysis memo with mixed
+// hit / miss / evict traffic under deliberately tiny budgets. The
+// assertions are coarse arithmetic invariants; the real payload is the
+// interleavings — built with -DWSD_SANITIZE=thread this is the dynamic
+// (TSan) probe for the same lock discipline that clang -Wthread-safety
+// checks statically.
 
 #include <atomic>
 #include <cstdint>
@@ -106,6 +107,84 @@ TEST(ServeCacheStress, ScanHandleCacheMixedHitMissEvict) {
   const ScanHandleCache::Stats stats = cache.GetStats();
   EXPECT_EQ(stats.hits + stats.misses, ops.load());
   EXPECT_GT(stats.misses, 0u);
+  EXPECT_LE(stats.entries, 1u) << "1-byte budget keeps at most the MRU entry";
+}
+
+TEST(ServeCacheStress, AnalysisMemoMixedComputeEvict) {
+  StudyOptions options;
+  options.num_entities = 200;
+  options.threads = 1;
+  options.seed = 7;
+  // One byte of budget again: entries, and the memos that go with them,
+  // are evicted while other threads compute into them or wait on them.
+  ScanHandleCache cache(options, 1);
+  const std::vector<ScanHandleCache::Key> keys = {
+      {Domain::kBooks, Attribute::kIsbn, options.seed, options.scale},
+      {Domain::kBanks, Attribute::kPhone, options.seed, options.scale},
+  };
+  // The reference results, computed once with nothing else running.
+  std::vector<std::shared_ptr<const CoverageCurve>> curves;
+  std::vector<std::shared_ptr<const SetCoverCurve>> covers;
+  std::vector<std::shared_ptr<const GraphMetricsRow>> rows;
+  for (const auto& key : keys) {
+    auto curve = cache.KCoverage(key);
+    auto cover = cache.SetCover(key);
+    auto row = cache.GraphMetrics(key);
+    ASSERT_TRUE(curve.ok() && cover.ok() && row.ok());
+    curves.push_back(*curve);
+    covers.push_back(*cover);
+    rows.push_back(*row);
+  }
+  constexpr int kThreads = 8;
+  constexpr int kOpsPerThread = 6;
+  std::atomic<int> failures{0};
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(0x3e3eULL + static_cast<uint64_t>(t));
+      for (int op = 0; op < kOpsPerThread; ++op) {
+        const size_t i = rng.Uniform(keys.size());
+        switch (rng.Uniform(3)) {
+          case 0: {
+            auto curve = cache.KCoverage(keys[i]);
+            if (!curve.ok()) {
+              failures.fetch_add(1);
+            } else if ((*curve)->k_coverage != curves[i]->k_coverage) {
+              mismatches.fetch_add(1);
+            }
+            break;
+          }
+          case 1: {
+            auto cover = cache.SetCover(keys[i]);
+            if (!cover.ok()) {
+              failures.fetch_add(1);
+            } else if ((*cover)->greedy_coverage !=
+                       covers[i]->greedy_coverage) {
+              mismatches.fetch_add(1);
+            }
+            break;
+          }
+          default: {
+            auto row = cache.GraphMetrics(keys[i]);
+            if (!row.ok()) {
+              failures.fetch_add(1);
+            } else if ((*row)->diameter != rows[i]->diameter ||
+                       (*row)->num_edges != rows[i]->num_edges) {
+              mismatches.fetch_add(1);
+            }
+            break;
+          }
+        }
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(mismatches.load(), 0)
+      << "a memoized result differs from a fresh one";
+  const ScanHandleCache::Stats stats = cache.GetStats();
   EXPECT_LE(stats.entries, 1u) << "1-byte budget keeps at most the MRU entry";
 }
 

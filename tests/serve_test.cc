@@ -293,6 +293,10 @@ TEST_F(RoutingTest, BadParametersAre400) {
   EXPECT_EQ(
       Handle("GET /spread?domain=books&attr=isbn&scale=-1 HTTP/1.1").status,
       400);
+  // NaN compares false with both bounds; it is not a scale in (0, 64].
+  EXPECT_EQ(
+      Handle("GET /spread?domain=books&attr=isbn&scale=nan HTTP/1.1").status,
+      400);
   EXPECT_EQ(Handle("GET /demand?site=msn HTTP/1.1").status, 400);
 }
 
@@ -340,6 +344,29 @@ TEST_F(RoutingTest, ContentNegotiation) {
       "Accept: text/tab-separated-values");
   ASSERT_EQ(both.status, 200);
   EXPECT_EQ(both.content_type, "application/json");
+
+  // Every k renders the first k rows of the memoized curve, which must
+  // be the bytes of a direct ComputeKCoverage at that k, in both formats.
+  Study study(SmallOptions());
+  auto scan = study.Scan(Domain::kBooks, Attribute::kIsbn);
+  ASSERT_TRUE(scan.ok());
+  for (uint32_t k = 1; k <= ScanHandleCache::kMaxK; ++k) {
+    auto curve = ComputeKCoverage(
+        scan->table(), SmallOptions().ScaledEntities(), k,
+        DefaultCoverageTValues(
+            static_cast<uint32_t>(scan->table().num_hosts())));
+    ASSERT_TRUE(curve.ok());
+    for (WireFormat format : {WireFormat::kJson, WireFormat::kTsv}) {
+      const std::string target =
+          "/spread?domain=books&attr=isbn&k=" + std::to_string(k) +
+          (format == WireFormat::kTsv ? "&format=tsv" : "&format=json");
+      const HttpResponse served = Handle("GET " + target + " HTTP/1.1");
+      ASSERT_EQ(served.status, 200) << target;
+      EXPECT_EQ(served.body,
+                SpreadBody(Domain::kBooks, Attribute::kIsbn, *curve, format))
+          << target;
+    }
+  }
 }
 
 TEST_F(RoutingTest, MetricsPassthrough) {
@@ -406,6 +433,159 @@ TEST(ResponseCacheTest, EvictsLeastRecentlyUsedUnderByteBudget) {
   EXPECT_EQ(out.body, "bbbb");
   EXPECT_EQ(out.content_type, "text/plain");
   EXPECT_EQ(out.status, 200);
+}
+
+// ---------------------------------------------------------------------
+// Analysis memo: each scan-cache entry computes its k-coverage curve, set
+// cover and Table 2 row once; a response-cache miss then only renders.
+
+struct MemoCounts {
+  uint64_t hits = 0;
+  uint64_t misses = 0;
+};
+
+MemoCounts ReadMemoCounts() {
+  auto& reg = MetricsRegistry::Global();
+  return {reg.GetCounter("wsd.serve.analysis_memo.hits").value(),
+          reg.GetCounter("wsd.serve.analysis_memo.misses").value()};
+}
+
+TEST_F(RoutingTest, AnalysisMemoComputesEachResultOnce) {
+  const MemoCounts before = ReadMemoCounts();
+  const ResponseCache::Stats responses_before = ctx_.responses.GetStats();
+  ASSERT_EQ(Handle("GET /spread?domain=banks&attr=phone&k=3 HTTP/1.1").status,
+            200);
+  const size_t bytes_with_curve = cache_.GetStats().bytes;
+  ASSERT_EQ(Handle("GET /spread?domain=banks&attr=phone&k=7 HTTP/1.1").status,
+            200);
+  EXPECT_EQ(cache_.GetStats().bytes, bytes_with_curve)
+      << "a memo hit computes nothing new";
+  ASSERT_EQ(Handle("GET /setcover?domain=banks&attr=phone HTTP/1.1").status,
+            200);
+  EXPECT_GT(cache_.GetStats().bytes, bytes_with_curve)
+      << "a computed result counts toward the scan budget";
+  ASSERT_EQ(
+      Handle("GET /setcover?domain=banks&attr=phone&format=tsv HTTP/1.1")
+          .status,
+      200);
+
+  // Four distinct targets miss the response cache; the memo computes the
+  // curve and the cover once each and answers the other two.
+  const MemoCounts after = ReadMemoCounts();
+  EXPECT_EQ(after.misses - before.misses, 2u);
+  EXPECT_EQ(after.hits - before.hits, 2u);
+  EXPECT_EQ(ctx_.responses.GetStats().misses - responses_before.misses, 4u);
+  EXPECT_EQ(cache_.GetStats().misses, 1u);
+}
+
+TEST(AnalysisMemo, ConcurrentColdRequestsComputeOnce) {
+  const StudyOptions options = SmallOptions();
+  ScanHandleCache cache(options, 64 * 1024 * 1024);
+  ServeContext ctx;
+  ctx.base = options;
+  ctx.cache = &cache;
+  const MemoCounts before = ReadMemoCounts();
+  constexpr int kThreads = 8;
+  std::vector<HttpResponse> responses(kThreads);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      HandleRequest(ctx,
+                    Req("GET /spread?domain=banks&attr=phone&k=" +
+                        std::to_string(i + 1) + " HTTP/1.1"),
+                    &responses[i]);
+    });
+  }
+  for (auto& t : threads) t.join();
+
+  Study study(options);
+  auto scan = study.Scan(Domain::kBanks, Attribute::kPhone);
+  ASSERT_TRUE(scan.ok());
+  for (int i = 0; i < kThreads; ++i) {
+    ASSERT_EQ(responses[i].status, 200) << "k=" << i + 1;
+    auto curve = ComputeKCoverage(
+        scan->table(), options.ScaledEntities(), static_cast<uint32_t>(i + 1),
+        DefaultCoverageTValues(
+            static_cast<uint32_t>(scan->table().num_hosts())));
+    ASSERT_TRUE(curve.ok());
+    EXPECT_EQ(responses[i].body, SpreadBody(Domain::kBanks, Attribute::kPhone,
+                                            *curve, WireFormat::kJson))
+        << "k=" << i + 1;
+  }
+  const MemoCounts after = ReadMemoCounts();
+  EXPECT_EQ(after.misses - before.misses, 1u) << "one k-coverage computation";
+  EXPECT_EQ(after.hits - before.hits, kThreads - 1u);
+  EXPECT_EQ(cache.GetStats().misses, 1u);
+}
+
+TEST(AnalysisMemo, EvictedEntryComputesAgain) {
+  const StudyOptions options = SmallOptions();
+  // One byte of budget: only the most recently used scan stays, and its
+  // memo goes with it.
+  ScanHandleCache cache(options, 1);
+  ServeContext ctx;
+  ctx.base = options;
+  ctx.cache = &cache;
+  auto handle = [&](const std::string& target) {
+    HttpResponse resp;
+    HandleRequest(ctx, Req("GET " + target + " HTTP/1.1"), &resp);
+    return resp;
+  };
+  const MemoCounts before = ReadMemoCounts();
+  const HttpResponse first = handle("/spread?domain=books&attr=isbn&k=3");
+  ASSERT_EQ(first.status, 200);
+  ASSERT_EQ(handle("/spread?domain=books&attr=isbn&k=4").status, 200);
+  MemoCounts now = ReadMemoCounts();
+  EXPECT_EQ(now.misses - before.misses, 1u);
+  EXPECT_EQ(now.hits - before.hits, 1u) << "the resident entry's memo answers";
+
+  ASSERT_EQ(handle("/spread?domain=restaurants&attr=phone").status, 200);
+  EXPECT_EQ(cache.GetStats().evictions, 1u);
+  // books/isbn was evicted with its memo: a new target scans and computes
+  // again, and renders the same rows as before.
+  const HttpResponse again =
+      handle("/spread?domain=books&attr=isbn&k=3&seed=7");
+  ASSERT_EQ(again.status, 200);
+  EXPECT_EQ(again.body, first.body);
+  now = ReadMemoCounts();
+  EXPECT_EQ(now.misses - before.misses, 3u);
+  EXPECT_EQ(now.hits - before.hits, 1u);
+  EXPECT_EQ(cache.GetStats().misses, 3u);
+}
+
+TEST(AnalysisMemo, ConcurrentColdDemandRunsOneValueStudy) {
+  StudyOptions options = SmallOptions();
+  options.scale = 0.5;
+  ScanHandleCache cache(options, 64 * 1024 * 1024);
+  ServeContext ctx;
+  ctx.base = options;
+  ctx.cache = &cache;
+  const MemoCounts before = ReadMemoCounts();
+  constexpr int kThreads = 8;
+  std::vector<HttpResponse> responses(kThreads);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      HandleRequest(ctx, Req("GET /demand?site=yelp&format=tsv HTTP/1.1"),
+                    &responses[i]);
+    });
+  }
+  for (auto& t : threads) t.join();
+  for (int i = 0; i < kThreads; ++i) {
+    ASSERT_EQ(responses[i].status, 200);
+    EXPECT_EQ(responses[i].body, responses[0].body);
+  }
+  // Threads that found the rendered body never reached the memo; every
+  // other one shares the single value study.
+  const MemoCounts after = ReadMemoCounts();
+  EXPECT_EQ(after.misses - before.misses, 1u) << "one value study";
+  EXPECT_EQ(after.hits - before.hits,
+            ctx.responses.GetStats().misses - 1u);
+
+  Study study(options);
+  auto direct = study.RunValueStudy(TrafficSite::kYelp);
+  ASSERT_TRUE(direct.ok());
+  EXPECT_EQ(responses[0].body, DemandBody(*direct, WireFormat::kTsv));
 }
 
 // ---------------------------------------------------------------------

@@ -140,6 +140,26 @@ TEST(UrlPatternTest, MatchesPaperPatterns) {
   EXPECT_EQ(d->entity_index, 99u);
 }
 
+// The segment after the first /gp/product/ wins anywhere in the path when
+// it is non-empty; otherwise the segment after the first /dp/ is the key,
+// never the segment after a later /gp/product/.
+TEST(UrlPatternTest, AmazonKeyPrefersFirstNonEmptyProductSegment) {
+  const auto key = [](const char* path) {
+    const auto parsed =
+        ParseEntityUrl(std::string("http://www.amazon.com") + path);
+    return parsed.has_value() ? static_cast<int64_t>(parsed->entity_index)
+                              : -1;
+  };
+  EXPECT_EQ(key("/x/dp/B000000002/gp/product/B000000001"), 1);
+  EXPECT_EQ(key("/gp/product//dp/B000000007"), 7);
+  EXPECT_EQ(key("/gp/product//gp/product/B000000001/dp/B000000002"), 2);
+  EXPECT_EQ(key("/dp/B000000003/gp/product/"), 3);
+  EXPECT_EQ(key("/gp/product/dp/B000000004"), -1);  // "dp" is the key
+  EXPECT_EQ(key("/dp/gp/product/B000000005"), 5);
+  EXPECT_EQ(key("/gp/product/"), -1);
+  EXPECT_EQ(key(""), -1);
+}
+
 TEST(UrlPatternTest, RejectsNonEntityUrls) {
   EXPECT_FALSE(ParseEntityUrl("http://www.amazon.com/gp/help/x").has_value());
   EXPECT_FALSE(ParseEntityUrl("http://www.yelp.com/search?q=pizza")
