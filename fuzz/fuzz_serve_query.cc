@@ -9,7 +9,7 @@
 // The work per input is bounded by the context (50 entities at scale
 // 0.05) and by skipping any input whose scale is valid and above 0.05:
 // scale multiplies the web, and at 50 entities libraries/homepage at
-// scale 64 builds 1,280,002 hosts.
+// scale 64 builds a web of 1,280,001 hosts.
 
 #include <cstdint>
 #include <string>
