@@ -183,21 +183,4 @@ bool ParseHostInto(std::string_view raw_url, std::string* out) {
   return true;
 }
 
-std::string RegistrableDomain(std::string_view host) {
-  const std::string h = NormalizeHost(host);
-  static constexpr std::array<std::string_view, 6> kTwoLevelSuffixes = {
-      "co.uk", "org.uk", "com.au", "co.jp", "com.br", "co.in"};
-  const auto labels = Split(h, '.');
-  if (labels.size() <= 2) return h;
-  const std::string last_two =
-      std::string(labels[labels.size() - 2]) + "." +
-      std::string(labels[labels.size() - 1]);
-  for (std::string_view suffix : kTwoLevelSuffixes) {
-    if (last_two == suffix) {
-      return std::string(labels[labels.size() - 3]) + "." + last_two;
-    }
-  }
-  return last_two;
-}
-
 }  // namespace wsd

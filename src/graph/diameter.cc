@@ -138,17 +138,6 @@ void MultiSourceEccentricities(const BipartiteGraph& g,
   }
 }
 
-}  // namespace
-
-uint32_t Eccentricity(const BipartiteGraph& graph, uint32_t node) {
-  // thread_local so repeated calls (bootstrap trials, tests) reuse the
-  // buffers instead of reallocating two vectors per call.
-  static thread_local BfsScratch scratch;
-  return Bfs(graph, node, scratch).first;
-}
-
-namespace {
-
 DiameterResult ExactDiameterImpl(const BipartiteGraph& graph,
                                  uint32_t max_bfs, ThreadPool* pool) {
   DiameterResult result;

@@ -46,9 +46,6 @@ DiameterResult ExactDiameter(const BipartiteGraph& graph,
 /// O(V*E); only for tests and the ablation bench.
 DiameterResult AllPairsDiameter(const BipartiteGraph& graph);
 
-/// Eccentricity of `node` within its component (max BFS distance).
-uint32_t Eccentricity(const BipartiteGraph& graph, uint32_t node);
-
 }  // namespace wsd
 
 #endif  // WSD_GRAPH_DIAMETER_H_

@@ -195,15 +195,7 @@ void HandleDemand(ServeContext& ctx, const HttpRequest& req,
   double scale = 1.0;
   if (!ParseSeedScale(req, ctx.base, &seed, &scale, resp)) return;
 
-  ComputeOnce<Study::ValueStudyResult>* slot = nullptr;
-  {
-    MutexLock lock(ctx.demand_mu);
-    slot = &ctx.demand_memo
-                .try_emplace(std::make_tuple(static_cast<int>(*site), seed,
-                                             scale))
-                .first->second;
-  }
-  const auto result = slot->Get([&] {
+  const auto result = ctx.demand_memo.Get({*site, seed, scale}, [&] {
     StudyOptions options = ctx.base;
     options.seed = seed;
     options.scale = scale;
@@ -224,26 +216,6 @@ void HandleMetrics(const HttpRequest& req, HttpResponse* resp) {
   }
 }
 
-struct ResponseCacheMetrics {
-  Counter& hits;
-  Counter& misses;
-  Counter& evictions;
-  Gauge& bytes;
-  Gauge& entries;
-
-  static ResponseCacheMetrics& Get() {
-    auto& reg = MetricsRegistry::Global();
-    static ResponseCacheMetrics metrics{
-        reg.GetCounter("wsd.serve.response_cache.hits"),
-        reg.GetCounter("wsd.serve.response_cache.misses"),
-        reg.GetCounter("wsd.serve.response_cache.evictions"),
-        reg.GetGauge("wsd.serve.response_cache.bytes"),
-        reg.GetGauge("wsd.serve.response_cache.entries"),
-    };
-    return metrics;
-  }
-};
-
 bool CacheableEndpoint(std::string_view path) {
   return path == "/spread" || path == "/setcover" || path == "/graph" ||
          path == "/demand";
@@ -258,61 +230,31 @@ std::string ResponseCacheKey(const HttpRequest& req, WireFormat format) {
   return key;
 }
 
+// Approximate resident bytes of each memo entry, on the same terms as
+// ApproxScanResultBytes.
+size_t RenderedBytes(const std::string& key, const RenderedBody& rendered) {
+  return key.size() + rendered.body.size() + rendered.content_type.size();
+}
+
+size_t ValueStudyBytes(const DemandKey& /*key*/,
+                       const Study::ValueStudyResult& study) {
+  return sizeof(study) +
+         (study.demand.search_demand.capacity() +
+          study.demand.browse_demand.capacity()) *
+             sizeof(double) +
+         study.reviews.capacity() * sizeof(uint32_t) +
+         study.bins.capacity() * sizeof(ReviewBinStat) +
+         (study.search_curve.capacity() + study.browse_curve.capacity()) *
+             sizeof(DemandCurvePoint);
+}
+
 }  // namespace
 
-bool ResponseCache::Lookup(const std::string& key, HttpResponse* resp) {
-  auto& metrics = ResponseCacheMetrics::Get();
-  MutexLock lock(mu_);
-  auto it = entries_.find(key);
-  if (it == entries_.end()) {
-    ++misses_;
-    metrics.misses.Increment();
-    return false;
-  }
-  it->second.last_used = ++tick_;
-  resp->status = 200;
-  resp->content_type = it->second.content_type;
-  resp->body = it->second.body;
-  ++hits_;
-  metrics.hits.Increment();
-  return true;
-}
-
-void ResponseCache::Insert(const std::string& key, const HttpResponse& resp) {
-  auto& metrics = ResponseCacheMetrics::Get();
-  Entry entry;
-  entry.body = resp.body;
-  entry.content_type = resp.content_type;
-  entry.bytes = key.size() + entry.body.size() + entry.content_type.size();
-  MutexLock lock(mu_);
-  entry.last_used = ++tick_;
-  auto [it, inserted] = entries_.emplace(key, std::move(entry));
-  if (!inserted) return;  // another thread rendered the same response
-  total_bytes_ += it->second.bytes;
-  while (total_bytes_ > max_bytes_ && entries_.size() > 1) {
-    auto victim = entries_.begin();
-    for (auto cand = entries_.begin(); cand != entries_.end(); ++cand) {
-      if (cand->second.last_used < victim->second.last_used) victim = cand;
-    }
-    total_bytes_ -= victim->second.bytes;
-    entries_.erase(victim);
-    ++evictions_;
-    metrics.evictions.Increment();
-  }
-  metrics.bytes.Set(static_cast<double>(total_bytes_));
-  metrics.entries.Set(static_cast<double>(entries_.size()));
-}
-
-ResponseCache::Stats ResponseCache::GetStats() const {
-  MutexLock lock(mu_);
-  Stats stats;
-  stats.hits = hits_;
-  stats.misses = misses_;
-  stats.evictions = evictions_;
-  stats.entries = entries_.size();
-  stats.bytes = total_bytes_;
-  return stats;
-}
+ServeContext::ServeContext()
+    : responses("wsd.serve.response_cache", 64u * 1024 * 1024,
+                &RenderedBytes),
+      demand_memo("wsd.serve.demand_memo", kDemandMemoBytes,
+                  &ValueStudyBytes) {}
 
 WireFormat NegotiateFormat(const HttpRequest& req) {
   if (auto v = req.QueryParam("format")) {
@@ -355,14 +297,22 @@ void HandleRequest(ServeContext& ctx, const HttpRequest& req,
     // options), so a rendered body never goes stale and the memo needs
     // no invalidation.
     const WireFormat format = NegotiateFormat(req);
-    const std::string key = ResponseCacheKey(req, format);
-    if (!ctx.responses.Lookup(key, resp)) {
-      if (req.path == "/demand") {
-        HandleDemand(ctx, req, format, resp);
-      } else {
-        HandleScanAnalysis(ctx, req, format, resp);
-      }
-      if (resp->status == 200) ctx.responses.Insert(key, *resp);
+    const auto rendered = ctx.responses.Get(
+        ResponseCacheKey(req, format), [&]() -> StatusOr<RenderedBody> {
+          if (req.path == "/demand") {
+            HandleDemand(ctx, req, format, resp);
+          } else {
+            HandleScanAnalysis(ctx, req, format, resp);
+          }
+          // An error is answered from `resp` and never kept.
+          if (resp->status != 200) {
+            return Status::FailedPrecondition("not a 200");
+          }
+          return RenderedBody{std::move(resp->body), resp->content_type};
+        });
+    if (rendered.ok()) {
+      resp->body = (*rendered)->body;
+      resp->content_type = (*rendered)->content_type;
     }
   } else {
     Fail(resp, 404, "no such endpoint");

@@ -140,11 +140,11 @@ class WSD_SCOPED_CAPABILITY MutexLock {
 
 /// Condition variable bound to `Mutex`. `Wait` demands the lock via
 /// REQUIRES, so a cv-wait without the mutex held no longer compiles
-/// under the analysis — the bug class the ScanHandleCache miss-dedup
-/// loop is most exposed to. There is deliberately no predicate
-/// overload: the analysis cannot see into a predicate lambda, so
-/// callers write the `while (!cond) cv.Wait(mu);` loop explicitly and
-/// the guarded reads in `cond` stay checked.
+/// under the analysis — the bug class the wait loop in
+/// `ComputeOnce::Get` (serve/memo_cache.h) is most exposed to. There is
+/// deliberately no predicate overload: the analysis cannot see into a
+/// predicate lambda, so callers write the `while (!cond) cv.Wait(mu);`
+/// loop explicitly and the guarded reads in `cond` stay checked.
 class CondVar {
  public:
   CondVar() = default;

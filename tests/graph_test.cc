@@ -114,13 +114,6 @@ TEST(DiameterTest, UsesLargestComponentOnly) {
   EXPECT_EQ(result.component_nodes, 5u);
 }
 
-TEST(DiameterTest, EccentricityOnPath) {
-  const auto table = MakeTable({{0, 1}, {1, 2}});
-  const auto graph = BipartiteGraph::FromHostTable(table, 3);
-  EXPECT_EQ(Eccentricity(graph, 0), 4u);   // end entity
-  EXPECT_EQ(Eccentricity(graph, 1), 2u);   // middle entity
-}
-
 // Property: iFUB agrees with all-pairs BFS on random graphs.
 class DiameterPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 

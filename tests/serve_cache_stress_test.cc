@@ -17,7 +17,6 @@
 
 #include "core/study.h"
 #include "serve/endpoints.h"
-#include "serve/http.h"
 #include "serve/scan_cache.h"
 #include "util/rng.h"
 
@@ -27,7 +26,9 @@ namespace {
 TEST(ServeCacheStress, ResponseCacheMixedHitMissEvict) {
   // A few entries worth of budget over a 16-key space: hits, misses and
   // evictions all stay hot for the whole run.
-  ResponseCache cache(512);
+  ServeContext ctx;
+  ResponseCache& cache = ctx.responses;
+  cache.set_max_bytes(512);
   constexpr int kThreads = 8;
   constexpr int kOpsPerThread = 2000;
   constexpr int kKeySpace = 16;
@@ -41,21 +42,16 @@ TEST(ServeCacheStress, ResponseCacheMixedHitMissEvict) {
         const int k = static_cast<int>(rng.Uniform(kKeySpace));
         const std::string key = "/spread?k=" + std::to_string(k);
         const size_t body_size = 48 + 8 * static_cast<size_t>(k);
-        HttpResponse resp;
+        const char fill = static_cast<char>('a' + k % 26);
         ops.fetch_add(1);
-        if (cache.Lookup(key, &resp)) {
-          // A hit must carry the exact body rendered for this key, not
-          // a torn or mismatched one.
-          if (resp.body.size() != body_size ||
-              resp.body.find_first_not_of(static_cast<char>('a' + k % 26)) !=
-                  std::string::npos) {
-            bad_bodies.fetch_add(1);
-          }
-        } else {
-          resp.status = 200;
-          resp.content_type = "application/json";
-          resp.body.assign(body_size, static_cast<char>('a' + k % 26));
-          cache.Insert(key, resp);
+        const auto rendered = cache.Get(key, [&]() -> StatusOr<RenderedBody> {
+          return RenderedBody{std::string(body_size, fill), "application/json"};
+        });
+        // Computed, waited for or hit, the body must be the exact one
+        // rendered for this key, not a torn or mismatched one.
+        if (!rendered.ok() || (*rendered)->body.size() != body_size ||
+            (*rendered)->body.find_first_not_of(fill) != std::string::npos) {
+          bad_bodies.fetch_add(1);
         }
       }
     });
@@ -78,7 +74,7 @@ TEST(ServeCacheStress, ScanHandleCacheMixedHitMissEvict) {
   options.threads = 1;
   options.seed = 7;
   // One byte of budget: every admission is oversized, only the MRU key
-  // survives, and waiters routinely wake to an already-evicted entry.
+  // survives, and waiters routinely wake after their entry is evicted.
   ScanHandleCache cache(options, 1);
   const std::vector<ScanHandleCache::Key> keys = {
       {Domain::kBooks, Attribute::kIsbn, options.seed, options.scale},

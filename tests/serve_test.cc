@@ -373,6 +373,12 @@ TEST_F(RoutingTest, MetricsPassthrough) {
   const HttpResponse prom = Handle("GET /metrics HTTP/1.1");
   ASSERT_EQ(prom.status, 200);
   EXPECT_NE(prom.body.find("wsd_serve_requests"), std::string::npos);
+  // Every memo layer reports its size, the unbounded demand memo too.
+  for (const char* name :
+       {"wsd_serve_scan_cache_bytes", "wsd_serve_response_cache_entries",
+        "wsd_serve_demand_memo_bytes", "wsd_serve_demand_memo_entries"}) {
+    EXPECT_NE(prom.body.find(name), std::string::npos) << name;
+  }
   const HttpResponse json = Handle("GET /metrics?format=json HTTP/1.1");
   ASSERT_EQ(json.status, 200);
   EXPECT_EQ(json.content_type, "application/json");
@@ -412,33 +418,8 @@ TEST_F(RoutingTest, ResponseMemoServesIdenticalBytes) {
   EXPECT_EQ(ctx_.responses.GetStats().entries, pre_error.entries);
 }
 
-TEST(ResponseCacheTest, EvictsLeastRecentlyUsedUnderByteBudget) {
-  ResponseCache cache(1);  // any second entry evicts the older one
-  HttpResponse a;
-  a.body = "aaaa";
-  a.content_type = "text/plain";
-  cache.Insert("ka", a);
-  HttpResponse b;
-  b.body = "bbbb";
-  b.content_type = "text/plain";
-  cache.Insert("kb", b);
-
-  ResponseCache::Stats stats = cache.GetStats();
-  EXPECT_EQ(stats.evictions, 1u);
-  EXPECT_EQ(stats.entries, 1u);
-
-  HttpResponse out;
-  EXPECT_FALSE(cache.Lookup("ka", &out));  // evicted
-  ASSERT_TRUE(cache.Lookup("kb", &out));
-  EXPECT_EQ(out.body, "bbbb");
-  EXPECT_EQ(out.content_type, "text/plain");
-  EXPECT_EQ(out.status, 200);
-}
-
-// ---------------------------------------------------------------------
-// Analysis memo: each scan-cache entry computes its k-coverage curve, set
-// cover and Table 2 row once; a response-cache miss then only renders.
-
+// The scan-analysis memo's lookups (wsd.serve.analysis_memo.*): one per
+// response-cache miss on /spread, /setcover or /graph.
 struct MemoCounts {
   uint64_t hits = 0;
   uint64_t misses = 0;
@@ -449,6 +430,109 @@ MemoCounts ReadMemoCounts() {
   return {reg.GetCounter("wsd.serve.analysis_memo.hits").value(),
           reg.GetCounter("wsd.serve.analysis_memo.misses").value()};
 }
+
+TEST(ResponseCacheTest, EvictsLeastRecentlyUsedUnderByteBudget) {
+  ServeContext ctx;
+  ResponseCache& cache = ctx.responses;
+  // An entry costs its key, body and content type: 2 + 4 + 10 = 16 bytes,
+  // so two fit.
+  cache.set_max_bytes(32);
+  int renders = 0;
+  auto render = [&renders](const std::string& body) {
+    return [&renders, body]() -> StatusOr<RenderedBody> {
+      ++renders;
+      return RenderedBody{body, "text/plain"};
+    };
+  };
+  ASSERT_TRUE(cache.Get("ka", render("aaaa")).ok());
+  ASSERT_TRUE(cache.Get("kb", render("bbbb")).ok());
+  ASSERT_TRUE(cache.Get("ka", render("xxxx")).ok());  // ka becomes MRU
+  ASSERT_TRUE(cache.Get("kc", render("cccc")).ok());  // evicts kb, not ka
+  ResponseCache::Stats stats = cache.GetStats();
+  EXPECT_EQ(stats.evictions, 1u);
+  EXPECT_EQ(stats.entries, 2u);
+  EXPECT_EQ(stats.bytes, 32u);
+
+  const auto hit = cache.Get("ka", render("xxxx"));
+  ASSERT_TRUE(hit.ok());
+  EXPECT_EQ((*hit)->body, "aaaa");
+  EXPECT_EQ((*hit)->content_type, "text/plain");
+  EXPECT_EQ(renders, 3);
+  const auto evicted = cache.Get("kb", render("bbbb"));  // evicts kc
+  ASSERT_TRUE(evicted.ok());
+  EXPECT_EQ(renders, 4);
+
+  // A smaller budget evicts down to the most recently used entry.
+  cache.set_max_bytes(1);
+  stats = cache.GetStats();
+  EXPECT_EQ(stats.evictions, 3u);
+  EXPECT_EQ(stats.entries, 1u);
+  ASSERT_TRUE(cache.Get("kb", render("xxxx")).ok());
+  EXPECT_EQ(renders, 4);
+  stats = cache.GetStats();
+  EXPECT_EQ(stats.hits, 3u);
+  EXPECT_EQ(stats.misses, 4u);
+}
+
+// Concurrent requests for one cold target render it once: the first
+// computes, the rest wait for it and count as hits.
+TEST(ResponseCacheTest, ConcurrentColdTargetRendersOnce) {
+  const StudyOptions options = SmallOptions();
+  ScanHandleCache cache(options, 64 * 1024 * 1024);
+  ServeContext ctx;
+  ctx.base = options;
+  ctx.cache = &cache;
+  const MemoCounts before = ReadMemoCounts();
+  constexpr int kThreads = 8;
+  std::vector<HttpResponse> responses(kThreads);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      HandleRequest(ctx, Req("GET /setcover?domain=banks&attr=phone HTTP/1.1"),
+                    &responses[i]);
+    });
+  }
+  for (auto& t : threads) t.join();
+  for (int i = 0; i < kThreads; ++i) {
+    ASSERT_EQ(responses[i].status, 200) << "thread " << i;
+    EXPECT_EQ(responses[i].body, responses[0].body) << "thread " << i;
+    EXPECT_EQ(responses[i].content_type, responses[0].content_type);
+  }
+  const ResponseCache::Stats stats = ctx.responses.GetStats();
+  EXPECT_EQ(stats.misses, 1u) << "one render";
+  EXPECT_EQ(stats.hits, kThreads - 1u);
+  EXPECT_EQ(stats.entries, 1u);
+  // The one render asked the analysis memo once.
+  const MemoCounts after = ReadMemoCounts();
+  EXPECT_EQ(after.misses - before.misses, 1u);
+  EXPECT_EQ(after.hits - before.hits, 0u);
+}
+
+// A refused request computes nothing worth keeping: no entry and no
+// bytes remain, however many distinct targets are refused.
+TEST(ResponseCacheTest, RefusedTargetsLeaveNoEntry) {
+  const StudyOptions options = SmallOptions();
+  ScanHandleCache cache(options, 64 * 1024 * 1024);
+  ServeContext ctx;
+  ctx.base = options;
+  ctx.cache = &cache;
+  for (int k = 33; k <= 82; ++k) {
+    HttpResponse resp;
+    HandleRequest(ctx,
+                  Req("GET /spread?domain=banks&attr=phone&k=" +
+                      std::to_string(k) + " HTTP/1.1"),
+                  &resp);
+    ASSERT_EQ(resp.status, 400) << "k=" << k;
+  }
+  const ResponseCache::Stats stats = ctx.responses.GetStats();
+  EXPECT_EQ(stats.misses, 50u);
+  EXPECT_EQ(stats.entries, 0u);
+  EXPECT_EQ(stats.bytes, 0u);
+}
+
+// ---------------------------------------------------------------------
+// Analysis memo: each scan-cache entry computes its k-coverage curve, set
+// cover and Table 2 row once; a response-cache miss then only renders.
 
 TEST_F(RoutingTest, AnalysisMemoComputesEachResultOnce) {
   const MemoCounts before = ReadMemoCounts();
@@ -576,11 +660,16 @@ TEST(AnalysisMemo, ConcurrentColdDemandRunsOneValueStudy) {
     EXPECT_EQ(responses[i].body, responses[0].body);
   }
   // Threads that found the rendered body never reached the memo; every
-  // other one shares the single value study.
+  // other one shares the single value study. Value studies are not scan
+  // analyses: the analysis memo counts none of them.
+  const MemoCacheStats demand = ctx.demand_memo.GetStats();
+  EXPECT_EQ(demand.misses, 1u) << "one value study";
+  EXPECT_EQ(demand.hits, ctx.responses.GetStats().misses - 1u);
+  EXPECT_EQ(demand.entries, 1u);
+  EXPECT_GT(demand.bytes, 0u);
   const MemoCounts after = ReadMemoCounts();
-  EXPECT_EQ(after.misses - before.misses, 1u) << "one value study";
-  EXPECT_EQ(after.hits - before.hits,
-            ctx.responses.GetStats().misses - 1u);
+  EXPECT_EQ(after.misses, before.misses);
+  EXPECT_EQ(after.hits, before.hits);
 
   Study study(options);
   auto direct = study.RunValueStudy(TrafficSite::kYelp);
@@ -718,48 +807,6 @@ TEST(ScanCache, ConcurrentMissesShareOversizedResultUnderOneByteBudget) {
   EXPECT_EQ(stats.hits, kThreads - 1u);
   EXPECT_EQ(stats.oversized_admits, 1u);
   EXPECT_EQ(stats.entries, 1u);
-}
-
-TEST(ScanHandleCacheTest, WaiterRescansAfterInflightEntryEvicted) {
-  StudyOptions options = SmallOptions();
-  ScanHandleCache cache(options, 64 * 1024 * 1024);
-  const ScanHandleCache::Key key{Domain::kBooks, Attribute::kIsbn,
-                                 options.seed, options.scale};
-  // Evict the entry in the same critical section that admits it: a
-  // thread waiting out the in-flight scan then wakes to find the cache
-  // empty and nothing in flight, and must take over the scan itself
-  // rather than return empty-handed (the invariant documented on
-  // ScanHandleCache::WaitWhileInflight).
-  cache.SetPostAdmitHookForTest([&cache] { cache.EvictAllForTest(); });
-
-  std::atomic<int> failures{0};
-  std::thread scanner([&] {
-    auto result = cache.Get(key);
-    if (!result.ok() || *result == nullptr) failures.fetch_add(1);
-  });
-  // Release the waiter inside the window where the scan is in flight so
-  // it genuinely blocks in WaitWhileInflight. (If the scan wins the race
-  // anyway, the waiter degenerates into a plain second scanner and the
-  // assertions below still hold — the interleaving is just less
-  // interesting.)
-  while (cache.InflightCountForTest() == 0 && cache.GetStats().misses == 0) {
-    std::this_thread::yield();
-  }
-  std::thread waiter([&] {
-    auto result = cache.Get(key);
-    if (!result.ok() || *result == nullptr) failures.fetch_add(1);
-  });
-  scanner.join();
-  waiter.join();
-  ASSERT_EQ(failures.load(), 0);
-
-  const ScanHandleCache::Stats stats = cache.GetStats();
-  // The hook evicts at every admission, so the waiter can never score a
-  // hit: it must observe the eviction and rescan.
-  EXPECT_EQ(stats.misses, 2u);
-  EXPECT_EQ(stats.hits, 0u);
-  EXPECT_EQ(stats.evictions, 2u);
-  EXPECT_EQ(stats.entries, 0u);
 }
 
 // ---------------------------------------------------------------------

@@ -1,7 +1,7 @@
 // Violation: waiting on a condition variable without holding the mutex
 // it is bound to (CondVar::Wait is REQUIRES(mu)). At runtime this is
 // undefined behavior in std::condition_variable::wait — the exact bug
-// class the ScanHandleCache miss-dedup loop must never reintroduce.
+// class the wait loop in ComputeOnce::Get must never reintroduce.
 // expect-error: requires holding mutex
 
 #include "util/mutex.h"

@@ -89,16 +89,5 @@ TEST(CanonicalizeHomepageTest, EmptyForUnparseable) {
   EXPECT_EQ(CanonicalizeHomepage("/relative"), "");
 }
 
-TEST(RegistrableDomainTest, LastTwoLabels) {
-  EXPECT_EQ(RegistrableDomain("a.b.example.com"), "example.com");
-  EXPECT_EQ(RegistrableDomain("example.com"), "example.com");
-  EXPECT_EQ(RegistrableDomain("localhost"), "localhost");
-}
-
-TEST(RegistrableDomainTest, TwoLevelSuffixes) {
-  EXPECT_EQ(RegistrableDomain("shop.example.co.uk"), "example.co.uk");
-  EXPECT_EQ(RegistrableDomain("www.example.com.au"), "example.com.au");
-}
-
 }  // namespace
 }  // namespace wsd

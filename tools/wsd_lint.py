@@ -63,6 +63,12 @@ Rules (ids in brackets, each documented in docs/STATIC_ANALYSIS.md):
                         corpus would differ between toolchains. The two
                         arms of a conditional expression count as one
                         draw. Draw into named locals, one per statement.
+  [test-hook]           A `*ForTest`/`*ForTesting` identifier or a
+                        NO_THREAD_SAFETY_ANALYSIS annotation in library
+                        code (src/util/mutex.h, which defines the macro,
+                        is exempt). Library code is production code:
+                        tests drive its public API, and every function
+                        stays under the lock-discipline analysis.
 
 Usage:
   tools/wsd_lint.py [--root REPO] [--update-frozen] [--self-test] [-q]
@@ -425,6 +431,33 @@ def check_attr_switch(root: str, findings):
                     "`switch` over an attribute outside the registry TU — "
                     "add a field or hook to AttributeSpec instead "
                     "(src/extract/attribute_registry.cc)"))
+
+
+# --------------------------------------------------------------------------
+# Rule: test-hook
+# --------------------------------------------------------------------------
+
+# The wrapper layer defines the macro.
+TEST_HOOK_EXEMPT = {os.path.join("src", "util", "mutex.h")}
+TEST_HOOK_BANNED = [
+    (re.compile(r"\b\w*ForTest(?:ing)?\b"), "test-only hook"),
+    (re.compile(r"\bNO_THREAD_SAFETY_ANALYSIS\b"),
+     "NO_THREAD_SAFETY_ANALYSIS"),
+]
+
+
+def check_test_hooks(root: str, findings):
+    for rel in iter_files(root, LIBRARY_DIRS, (".h", ".cc")):
+        if rel in TEST_HOOK_EXEMPT:
+            continue
+        text = strip_code(read(root, rel))
+        for pattern, what in TEST_HOOK_BANNED:
+            for m in pattern.finditer(text):
+                findings.append(Finding(
+                    rel, line_of(text, m.start()), "test-hook",
+                    f"{what} in library code — test through the public "
+                    "API, and keep every function under the lock-discipline "
+                    "analysis"))
 
 
 # --------------------------------------------------------------------------
@@ -802,6 +835,7 @@ def run_lint(root: str, update_frozen: bool = False):
     check_raw_concurrency(root, findings)
     check_guarded_fields(root, findings)
     check_rng_sequencing(root, findings)
+    check_test_hooks(root, findings)
     check_frozen(root, findings, update_frozen)
     findings.sort(key=lambda f: (f.path, f.line, f.rule))
     return findings
@@ -906,6 +940,18 @@ int MentionWeight(Attribute attr) {
   }
 }
 }  // namespace wsd
+"""),
+    "test-hook": ("src/serve/bad_test_hook.h", """
+#ifndef WSD_SERVE_BAD_TEST_HOOK_H_
+#define WSD_SERVE_BAD_TEST_HOOK_H_
+#include "util/mutex.h"
+namespace wsd {
+class Cache {
+ public:
+  void EvictAllForTest() NO_THREAD_SAFETY_ANALYSIS;
+};
+}  // namespace wsd
+#endif  // WSD_SERVE_BAD_TEST_HOOK_H_
 """),
     "simd-confinement": ("src/html/bad_simd.cc", """
 #include <immintrin.h>
