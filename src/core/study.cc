@@ -267,15 +267,21 @@ StatusOr<Study::ValueStudyResult> Study::RunValueStudy(TrafficSite site) {
   const TrafficLogOptions log_options;
   const TrafficLogGenerator generator(population, log_options,
                                       options_.seed ^ 0x10656e1ULL);
-  DemandEstimator estimator(site, params.num_entities);
-  generator.Generate(TrafficChannel::kSearch,
-                     [&](const VisitEvent& e) { estimator.Consume(e); });
-  generator.Generate(TrafficChannel::kBrowse,
-                     [&](const VisitEvent& e) { estimator.Consume(e); });
-
+  // One channel at a time: the search keys are counted and freed before
+  // the browse log is generated, so only one channel's keys are held.
+  auto estimate = [&](TrafficChannel channel) {
+    DemandEstimator estimator(site, params.num_entities);
+    generator.Generate(channel,
+                       [&](const VisitEvent& e) { estimator.Consume(e); });
+    return estimator.Finalize();
+  };
   ValueStudyResult result;
   result.site = site;
-  result.demand = estimator.Finalize();
+  result.demand = estimate(TrafficChannel::kSearch);
+  DemandTable browse = estimate(TrafficChannel::kBrowse);
+  result.demand.browse_demand = std::move(browse.browse_demand);
+  result.demand.events_consumed += browse.events_consumed;
+  result.demand.events_skipped += browse.events_skipped;
   result.reviews = population.reviews;
   auto bins = AnalyzeValueAdd(result.demand, result.reviews);
   if (!bins.ok()) return bins.status();

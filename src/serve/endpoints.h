@@ -19,7 +19,6 @@
 #define WSD_SERVE_ENDPOINTS_H_
 
 #include <cstdint>
-#include <limits>
 #include <string>
 #include <tuple>
 
@@ -70,9 +69,9 @@ struct ServeContext {
   /// scale) runs one value study, shared by concurrent and later queries.
   MemoCache<DemandKey, Study::ValueStudyResult> demand_memo;
 
-  /// The demand memo's byte budget: none yet, so it never evicts.
-  static constexpr size_t kDemandMemoBytes =
-      std::numeric_limits<size_t>::max();
+  /// The demand memo's byte budget, the response cache's default: a
+  /// client walking seeds evicts the least recently used value studies.
+  static constexpr size_t kDemandMemoBytes = 64u * 1024 * 1024;
 };
 
 /// Routes one request and fills `resp`. Never throws; every failure maps

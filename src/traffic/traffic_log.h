@@ -53,7 +53,9 @@ class TrafficLogGenerator {
   void Generate(TrafficChannel channel,
                 const std::function<void(const VisitEvent&)>& sink) const;
 
-  /// Total expected events for a channel (for preallocation).
+  /// Expected event count of `channel`: the summed intensities times the
+  /// mean repeats and noise per visit. traffic_test checks Generate's
+  /// counts against it.
   double ExpectedEvents(TrafficChannel channel) const;
 
  private:

@@ -1,16 +1,69 @@
 // Property suite for the demand estimator: on randomly generated,
 // randomly shuffled event streams, the estimator must agree with a
 // brute-force implementation of the paper's unique-cookie rules, and be
-// order-independent.
+// order-independent. A byte count bounds the memory its kept keys take.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <set>
+#include <string>
 #include <tuple>
 
 #include "traffic/demand.h"
 #include "util/rng.h"
+
+// --- Heap byte counting hook (for the key-store memory test) ---
+//
+// Replaces global operator new/delete with malloc/free plus a size header,
+// and tracks live and peak requested bytes on the thread that armed the
+// count, so the override is inert outside that test.
+namespace {
+constexpr size_t kHeader = alignof(std::max_align_t);
+thread_local bool g_count_bytes = false;
+thread_local int64_t g_live_bytes = 0;
+thread_local int64_t g_peak_bytes = 0;
+
+struct ByteCountGuard {
+  ByteCountGuard() {
+    g_live_bytes = 0;
+    g_peak_bytes = 0;
+    g_count_bytes = true;
+  }
+  ~ByteCountGuard() { g_count_bytes = false; }
+};
+
+void* CountedAlloc(size_t size) {
+  auto* base = static_cast<unsigned char*>(std::malloc(kHeader + size));
+  if (base == nullptr) throw std::bad_alloc();
+  *reinterpret_cast<size_t*>(base) = size;
+  if (g_count_bytes) {
+    g_live_bytes += static_cast<int64_t>(size);
+    g_peak_bytes = std::max(g_peak_bytes, g_live_bytes);
+  }
+  return base + kHeader;
+}
+
+void CountedFree(void* p) noexcept {
+  if (p == nullptr) return;
+  auto* base = static_cast<unsigned char*>(p) - kHeader;
+  if (g_count_bytes) {
+    g_live_bytes -= static_cast<int64_t>(*reinterpret_cast<size_t*>(base));
+  }
+  std::free(base);
+}
+}  // namespace
+
+void* operator new(size_t size) { return CountedAlloc(size); }
+void* operator new[](size_t size) { return CountedAlloc(size); }
+void operator delete(void* p) noexcept { CountedFree(p); }
+void operator delete[](void* p) noexcept { CountedFree(p); }
+void operator delete(void* p, size_t) noexcept { CountedFree(p); }
+void operator delete[](void* p, size_t) noexcept { CountedFree(p); }
 
 namespace wsd {
 namespace {
@@ -117,6 +170,37 @@ TEST_P(DemandEstimatorProperty, OrderIndependent) {
   EXPECT_EQ(a.events_skipped, b.events_skipped);
 }
 
+// Clicks repeat back to back 1-3 times, as the generator emits a
+// visitor's repeats, with the other channel's clicks interleaved between
+// them (sometimes the same click on the other channel). A repeat may move
+// to another month: a new search key, the same browse key.
+TEST_P(DemandEstimatorProperty, BackToBackRepeatsMatchBruteForce) {
+  const RandomLog base = MakeRandomLog(GetParam());
+  RandomLog log;
+  log.num_entities = base.num_entities;
+  Rng rng(GetParam() ^ 0x5e9ea7);
+  for (const VisitEvent& click : base.events) {
+    VisitEvent event = click;
+    const uint64_t copies = 1 + rng.Uniform(3);
+    for (uint64_t c = 0; c < copies; ++c) {
+      if (c > 0 && rng.Bernoulli(0.25)) {
+        event.month = static_cast<uint8_t>(rng.Uniform(12));
+      }
+      log.events.push_back(event);
+      if (rng.Bernoulli(0.4)) {
+        VisitEvent other = rng.Bernoulli(0.5)
+                               ? event
+                               : base.events[rng.Uniform(base.events.size())];
+        other.channel = event.channel == TrafficChannel::kSearch
+                            ? TrafficChannel::kBrowse
+                            : TrafficChannel::kSearch;
+        log.events.push_back(std::move(other));
+      }
+    }
+  }
+  ExpectMatchesBruteForce(log);
+}
+
 // One entity holds most of a large shuffled log, so its run alone has
 // more than 100,000 keys per channel: the count table grows past every
 // small run's size and probes long chains. Cookies differ only in their
@@ -146,6 +230,60 @@ TEST(DemandEstimatorSkew, HeavyRunMatchesBruteForce) {
   ASSERT_GE(search[kHeavy], 100000.0);  // distinct keys, not just clicks
   ASSERT_LT(browse[kHeavy], 20001.0);   // browse dedups the year
   ExpectMatchesBruteForce(log);
+}
+
+// Every key is distinct and clicked 1-3 times back to back, the two
+// channels alternating, so the estimator keeps exactly kKeys keys per
+// channel: 13 bytes each on search (cookie, entity, month) and 12 on
+// browse. Its peak heap, Finalize included, must stay under 14 bytes per
+// kept key plus one partly filled block per array (three search arrays,
+// two browse) and 24 bytes per entity for Finalize's offsets and the two
+// demand vectors. 16-byte keys in a doubling vector need 2 MiB of
+// capacity per channel here, over 21 bytes per kept key.
+TEST(DemandEstimatorMemory, KeptKeysCostUnderFourteenBytes) {
+  constexpr uint32_t kEntities = 1000;
+  constexpr uint64_t kKeys = 100000;  // per channel
+  std::vector<std::string> urls;
+  for (uint32_t e = 0; e < kEntities; ++e) {
+    urls.push_back(EntityUrl(TrafficSite::kYelp, e));
+  }
+  VisitEvent event;
+  event.url.reserve(64);
+
+  DemandTable table;
+  {
+    const ByteCountGuard guard;
+    DemandEstimator estimator(TrafficSite::kYelp, kEntities);
+    for (uint64_t i = 0; i < 2 * kKeys; ++i) {
+      const uint64_t key = i / 2;
+      event.channel = i % 2 == 0 ? TrafficChannel::kSearch
+                                 : TrafficChannel::kBrowse;
+      event.cookie = key + 1;
+      event.url = urls[key % kEntities];
+      for (uint64_t c = 0; c <= i % 3; ++c) {
+        // Browse keys carry no month, so every copy repeats the key.
+        event.month = static_cast<uint8_t>(
+            event.channel == TrafficChannel::kSearch ? key % 12 : c);
+        estimator.Consume(event);
+      }
+    }
+    table = estimator.Finalize();
+  }
+  const int64_t block_bytes =
+      int64_t{DemandEstimator::kKeysPerBlock} * (8 + 4 + 1 + 8 + 4);
+  const int64_t bound = 14 * int64_t{2 * kKeys} + block_bytes +
+                        24 * int64_t{kEntities};
+  EXPECT_LT(g_peak_bytes, bound)
+      << static_cast<double>(g_peak_bytes) / (2 * kKeys)
+      << " bytes per kept key";
+  EXPECT_GT(g_peak_bytes, 12 * int64_t{2 * kKeys});
+
+  // Every entity got kKeys / kEntities distinct cookies on each channel.
+  for (uint32_t e = 0; e < kEntities; ++e) {
+    ASSERT_EQ(table.search_demand[e], double{kKeys / kEntities}) << e;
+    ASSERT_EQ(table.browse_demand[e], double{kKeys / kEntities}) << e;
+  }
+  EXPECT_EQ(table.events_skipped, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DemandEstimatorProperty,

@@ -474,6 +474,39 @@ TEST(ResponseCacheTest, EvictsLeastRecentlyUsedUnderByteBudget) {
   EXPECT_EQ(stats.misses, 4u);
 }
 
+// Charge adds bytes only while the key's entry still holds the value it
+// was computed for. Under a zero budget "a" is evicted and admitted
+// again, so a late charge for the first value must not land on the
+// second.
+TEST(ResponseCacheTest, ChargeSkipsEntryReadmittedSinceCompute) {
+  ServeContext ctx;
+  ResponseCache& cache = ctx.responses;
+  cache.set_max_bytes(0);
+  auto render = [](const std::string& body) {
+    return [body]() -> StatusOr<RenderedBody> {
+      return RenderedBody{body, "text/plain"};
+    };
+  };
+  const auto v1 = cache.Get("a", render("first"));
+  ASSERT_TRUE(v1.ok());
+  ASSERT_TRUE(cache.Get("b", render("bbbbb")).ok());  // evicts "a"
+  const auto v2 = cache.Get("a", render("again"));
+  ASSERT_TRUE(v2.ok());
+  ASSERT_NE(v1->get(), v2->get());
+  EXPECT_EQ((*v2)->body, "again");
+  ResponseCache::Stats stats = cache.GetStats();
+  EXPECT_EQ(stats.misses, 3u);
+  EXPECT_EQ(stats.evictions, 2u);
+  const size_t bytes = stats.bytes;
+
+  cache.Charge("a", v1->get(), 100);
+  EXPECT_EQ(cache.GetStats().bytes, bytes) << "v1 was evicted";
+  cache.Charge("a", v2->get(), 100);
+  stats = cache.GetStats();
+  EXPECT_EQ(stats.bytes, bytes + 100);
+  EXPECT_EQ(stats.entries, 1u);
+}
+
 // Concurrent requests for one cold target render it once: the first
 // computes, the rest wait for it and count as hits.
 TEST(ResponseCacheTest, ConcurrentColdTargetRendersOnce) {
@@ -675,6 +708,57 @@ TEST(AnalysisMemo, ConcurrentColdDemandRunsOneValueStudy) {
   auto direct = study.RunValueStudy(TrafficSite::kYelp);
   ASSERT_TRUE(direct.ok());
   EXPECT_EQ(responses[0].body, DemandBody(*direct, WireFormat::kTsv));
+}
+
+// A client walking seeds on /demand is held to the demand memo's byte
+// budget: the least recently used value studies are evicted, and an
+// evicted target answers the same body again.
+TEST(DemandMemo, SeedWalkEvictsWithinByteBudget) {
+  const StudyOptions options = SmallOptions();
+  ScanHandleCache cache(options, 64 * 1024 * 1024);
+  ServeContext ctx;
+  ctx.base = options;
+  ctx.cache = &cache;
+  EXPECT_EQ(ctx.demand_memo.max_bytes(), ServeContext::kDemandMemoBytes);
+  ctx.responses.set_max_bytes(0);  // every request reaches the memo
+  Counter& evictions =
+      MetricsRegistry::Global().GetCounter("wsd.serve.demand_memo.evictions");
+  const uint64_t evictions_before = evictions.value();
+  auto demand = [&](uint64_t seed) {
+    HttpResponse resp;
+    HandleRequest(ctx,
+                  Req("GET /demand?site=yelp&scale=0.05&format=tsv&seed=" +
+                      std::to_string(seed) + " HTTP/1.1"),
+                  &resp);
+    return resp;
+  };
+
+  const HttpResponse first = demand(1);
+  ASSERT_EQ(first.status, 200);
+  const size_t one_study = ctx.demand_memo.GetStats().bytes;
+  ASSERT_GT(one_study, 0u);
+  const size_t budget = 2 * one_study + one_study / 2;
+  ctx.demand_memo.set_max_bytes(budget);
+  for (uint64_t seed = 2; seed <= 6; ++seed) {
+    ASSERT_EQ(demand(seed).status, 200) << "seed " << seed;
+    const MemoCacheStats stats = ctx.demand_memo.GetStats();
+    EXPECT_TRUE(stats.bytes <= budget || stats.entries == 1)
+        << "seed " << seed << ": " << stats.bytes << " bytes in "
+        << stats.entries << " entries";
+  }
+  MemoCacheStats stats = ctx.demand_memo.GetStats();
+  EXPECT_EQ(stats.misses, 6u);
+  EXPECT_EQ(stats.entries, 2u);
+  EXPECT_EQ(stats.evictions, 4u);
+  EXPECT_EQ(evictions.value() - evictions_before, 4u);
+
+  // Seed 1 was evicted: it runs again and renders the same bytes.
+  const HttpResponse again = demand(1);
+  ASSERT_EQ(again.status, 200);
+  EXPECT_EQ(again.body, first.body);
+  stats = ctx.demand_memo.GetStats();
+  EXPECT_EQ(stats.misses, 7u);
+  EXPECT_EQ(stats.hits, 0u);
 }
 
 // ---------------------------------------------------------------------

@@ -6,9 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 
 #include "extract/attribute_registry.h"
+#include "traffic/demand.h"
+#include "traffic/review_model.h"
+#include "traffic/traffic_log.h"
 
 namespace wsd {
 namespace {
@@ -263,6 +267,42 @@ TEST_F(StudySmall, ValueStudyDeterministic) {
   EXPECT_EQ(a->demand.events_consumed, b->demand.events_consumed);
   EXPECT_EQ(a->demand.search_demand, b->demand.search_demand);
   EXPECT_EQ(a->reviews, b->reviews);
+}
+
+// RunValueStudy counts one channel at a time, in two estimators; its
+// table must equal one estimator fed both logs in the generator's order
+// (population and log seeds as RunValueStudy derives them).
+TEST(StudyValueTest, ChannelAtATimeMatchesOneEstimator) {
+  StudyOptions options = SmallOptions();
+  options.scale = 0.02;
+  for (TrafficSite site :
+       {TrafficSite::kAmazon, TrafficSite::kYelp, TrafficSite::kImdb}) {
+    SCOPED_TRACE(TrafficSiteName(site));
+    auto result = Study(options).RunValueStudy(site);
+    ASSERT_TRUE(result.ok()) << result.status();
+
+    TrafficSiteParams params = DefaultTrafficParams(site);
+    params.num_entities = std::max<uint32_t>(
+        256, static_cast<uint32_t>(params.num_entities * options.scale));
+    const SitePopulation population =
+        BuildPopulation(params, options.seed ^ 0x7eaf1cULL);
+    const TrafficLogGenerator generator(population, TrafficLogOptions{},
+                                        options.seed ^ 0x10656e1ULL);
+    DemandEstimator estimator(site, params.num_entities);
+    for (TrafficChannel channel :
+         {TrafficChannel::kSearch, TrafficChannel::kBrowse}) {
+      generator.Generate(channel,
+                         [&](const VisitEvent& e) { estimator.Consume(e); });
+    }
+    const DemandTable expected = estimator.Finalize();
+
+    const DemandTable& demand = result->demand;
+    EXPECT_EQ(demand.search_demand, expected.search_demand);
+    EXPECT_EQ(demand.browse_demand, expected.browse_demand);
+    EXPECT_EQ(demand.events_consumed, expected.events_consumed);
+    EXPECT_EQ(demand.events_skipped, expected.events_skipped);
+    EXPECT_GT(expected.events_skipped, 0u);  // both logs carry noise URLs
+  }
 }
 
 // Scale stability: the coverage shape barely moves between 1x and 2x
