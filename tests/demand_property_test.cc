@@ -239,7 +239,8 @@ TEST(DemandEstimatorSkew, HeavyRunMatchesBruteForce) {
 // kept key plus one partly filled block per array (three search arrays,
 // two browse) and 24 bytes per entity for Finalize's offsets and the two
 // demand vectors. 16-byte keys in a doubling vector need 2 MiB of
-// capacity per channel here, over 21 bytes per kept key.
+// capacity per channel here even with the repeats dropped, over 21 bytes
+// per kept key.
 TEST(DemandEstimatorMemory, KeptKeysCostUnderFourteenBytes) {
   constexpr uint32_t kEntities = 1000;
   constexpr uint64_t kKeys = 100000;  // per channel
