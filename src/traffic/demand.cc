@@ -4,6 +4,8 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
+#include <string_view>
 #include <vector>
 
 #include "util/hash.h"
@@ -14,9 +16,21 @@ namespace wsd {
 DemandEstimator::DemandEstimator(TrafficSite site, uint32_t num_entities)
     : site_(site), num_entities_(num_entities) {}
 
+const std::optional<EntityUrlKey>& DemandEstimator::Parse(
+    std::string_view url) {
+  for (const ParsedUrl& parsed : parsed_) {
+    if (parsed.url == url) return parsed.key;
+  }
+  ParsedUrl& parsed = parsed_[next_parsed_];
+  next_parsed_ = (next_parsed_ + 1) % parsed_.size();
+  parsed.url.assign(url);
+  parsed.key = ParseEntityUrl(url);
+  return parsed.key;
+}
+
 void DemandEstimator::Consume(const VisitEvent& event) {
   ++consumed_;
-  const auto key = ParseEntityUrl(event.url);
+  const std::optional<EntityUrlKey>& key = Parse(event.url);
   if (!key.has_value() || key->site != site_ ||
       key->entity_index >= num_entities_) {
     ++skipped_;

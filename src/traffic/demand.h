@@ -1,9 +1,13 @@
 #ifndef WSD_TRAFFIC_DEMAND_H_
 #define WSD_TRAFFIC_DEMAND_H_
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "traffic/traffic_log.h"
@@ -29,6 +33,12 @@ struct DemandTable {
 
 /// Accumulates visit events (any order, both channels interleaved) and
 /// produces per-entity demand estimates.
+///
+/// The last two distinct URLs parsed are kept with their ParseEntityUrl
+/// results, compared by bytes and replaced round robin, so a click on
+/// either skips only the parse: the site and range checks and the skip
+/// count run on every click. An entity's clicks carry at most two
+/// distinct URLs, and the generator emits them back to back.
 ///
 /// Each kept click costs 13 bytes on the search channel (cookie, entity,
 /// month) and 12 on the browse channel, in fixed-size blocks. A click
@@ -96,8 +106,21 @@ class DemandEstimator {
   /// the log.
   void CountDistinct(KeyLog& log, std::vector<double>* out) const;
 
+  /// ParseEntityUrl(url), from the memo when `url` is one of the last two
+  /// distinct URLs parsed.
+  const std::optional<EntityUrlKey>& Parse(std::string_view url);
+
+  /// A URL and its ParseEntityUrl result. Both start empty, which is
+  /// what an empty URL parses to.
+  struct ParsedUrl {
+    std::string url;
+    std::optional<EntityUrlKey> key;
+  };
+
   TrafficSite site_;
   uint32_t num_entities_;
+  std::array<ParsedUrl, 2> parsed_;
+  size_t next_parsed_ = 0;  // slot the next miss replaces
   KeyLog search_keys_{true};
   KeyLog browse_keys_{false};
   uint64_t consumed_ = 0;

@@ -69,15 +69,20 @@ void TrafficLogGenerator::Generate(
   const TrafficSite site = population_.params.site;
   Rng rng(HashCombine(seed_, static_cast<uint64_t>(channel) + 1));
 
-  // One entity event and one noise event, reused for every click.
-  VisitEvent event;
-  event.channel = channel;
-  event.url.reserve(kUrlCapacity);
+  // One reused event per URL form (EntityUrlInto's variant) and one for
+  // noise. A form's URL is rendered on the entity's first click of that
+  // form; its later clicks only set the cookie and the month.
+  VisitEvent forms[2];
+  for (VisitEvent& form : forms) {
+    form.channel = channel;
+    form.url.reserve(kUrlCapacity);
+  }
   VisitEvent noise;
   noise.channel = channel;
   noise.url.reserve(kUrlCapacity);
   const uint32_t n = static_cast<uint32_t>(intensity.size());
   for (uint32_t entity = 0; entity < n; ++entity) {
+    bool rendered[2] = {false, false};
     // Unique visitors, each returning 1 + Poisson(repeat) times. Search
     // repeats land in the visitor's month (within-month dedup matters);
     // browse repeats spread over the year (yearly dedup).
@@ -87,16 +92,21 @@ void TrafficLogGenerator::Generate(
       const uint8_t first_month = static_cast<uint8_t>(rng.Uniform(12));
       const uint64_t repeats = rng.Poisson(options_.repeat_visit_rate);
       for (uint64_t r = 0; r <= repeats; ++r) {
+        const uint8_t month = channel == TrafficChannel::kSearch
+                                  ? first_month
+                                  : static_cast<uint8_t>(rng.Uniform(12));
+        const uint32_t variant = static_cast<uint32_t>(rng.Uniform(2));
+        VisitEvent& event = forms[variant];
+        if (!rendered[variant]) {
+          EntityUrlInto(site, entity, variant, &event.url);
+          rendered[variant] = true;
+        }
         event.cookie = cookie;
-        event.month = channel == TrafficChannel::kSearch
-                          ? first_month
-                          : static_cast<uint8_t>(rng.Uniform(12));
-        EntityUrlInto(site, entity, static_cast<uint32_t>(rng.Uniform(2)),
-                      &event.url);
+        event.month = month;
         sink(event);
         if (rng.Bernoulli(options_.noise_url_fraction)) {
-          noise.cookie = event.cookie;
-          noise.month = event.month;
+          noise.cookie = cookie;
+          noise.month = month;
           NoiseUrlInto(site, rng, &noise.url);
           sink(noise);
         }

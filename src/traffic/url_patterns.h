@@ -43,8 +43,9 @@ std::string EntityUrl(TrafficSite site, uint32_t entity_index,
                       uint32_t variant = 0);
 
 /// Zero-allocation variant of EntityUrl: writes the same bytes into *out
-/// (replacing its contents, reusing capacity). The log generator renders
-/// every click into one reused buffer this way.
+/// (replacing its contents, reusing capacity). The log generator keeps
+/// one reused buffer per variant and renders into it this way once per
+/// entity, on the entity's first click of that variant.
 void EntityUrlInto(TrafficSite site, uint32_t entity_index, uint32_t variant,
                    std::string* out);
 

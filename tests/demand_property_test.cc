@@ -13,6 +13,7 @@
 #include <set>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "traffic/demand.h"
 #include "util/rng.h"
@@ -71,6 +72,7 @@ namespace {
 struct RandomLog {
   std::vector<VisitEvent> events;
   uint32_t num_entities;
+  TrafficSite site = TrafficSite::kYelp;
 };
 
 // `months` bounds the month byte: 12 as the generator emits, or 256 for
@@ -99,45 +101,63 @@ RandomLog MakeRandomLog(uint64_t seed, uint32_t months = 12) {
 }
 
 // Brute force per footnote 2 of the paper: search counts unique
-// (entity, month, cookie); browse counts unique (entity, cookie).
-void BruteForce(const RandomLog& log, std::vector<double>* search,
-                std::vector<double>* browse) {
+// (entity, month, cookie); browse counts unique (entity, cookie). A URL
+// that names no entity of the log's site within its population is
+// skipped.
+struct BruteForceTable {
+  std::vector<double> search;
+  std::vector<double> browse;
+  uint64_t skipped = 0;
+};
+
+BruteForceTable BruteForce(const RandomLog& log) {
   std::set<std::tuple<uint32_t, uint8_t, uint64_t>> search_keys;
   std::set<std::tuple<uint32_t, uint64_t>> browse_keys;
-  search->assign(log.num_entities, 0.0);
-  browse->assign(log.num_entities, 0.0);
+  BruteForceTable table;
+  table.search.assign(log.num_entities, 0.0);
+  table.browse.assign(log.num_entities, 0.0);
   for (const VisitEvent& event : log.events) {
     auto key = ParseEntityUrl(event.url);
-    if (!key.has_value() || key->site != TrafficSite::kYelp) continue;
+    if (!key.has_value() || key->site != log.site ||
+        key->entity_index >= log.num_entities) {
+      ++table.skipped;
+      continue;
+    }
     if (event.channel == TrafficChannel::kSearch) {
       if (search_keys
               .insert({key->entity_index, event.month, event.cookie})
               .second) {
-        (*search)[key->entity_index] += 1.0;
+        table.search[key->entity_index] += 1.0;
       }
     } else {
       if (browse_keys.insert({key->entity_index, event.cookie}).second) {
-        (*browse)[key->entity_index] += 1.0;
+        table.browse[key->entity_index] += 1.0;
       }
     }
   }
+  return table;
 }
 
 class DemandEstimatorProperty : public ::testing::TestWithParam<uint64_t> {
 };
 
-void ExpectMatchesBruteForce(const RandomLog& log) {
-  DemandEstimator estimator(TrafficSite::kYelp, log.num_entities);
-  for (const VisitEvent& event : log.events) estimator.Consume(event);
-  const DemandTable table = estimator.Finalize();
-
-  std::vector<double> search, browse;
-  BruteForce(log, &search, &browse);
-  ASSERT_EQ(table.search_demand.size(), search.size());
+void ExpectTableMatchesBruteForce(const RandomLog& log,
+                                  const DemandTable& table) {
+  const BruteForceTable want = BruteForce(log);
+  ASSERT_EQ(table.search_demand.size(), want.search.size());
+  ASSERT_EQ(table.browse_demand.size(), want.browse.size());
   for (uint32_t e = 0; e < log.num_entities; ++e) {
-    EXPECT_DOUBLE_EQ(table.search_demand[e], search[e]) << "entity " << e;
-    EXPECT_DOUBLE_EQ(table.browse_demand[e], browse[e]) << "entity " << e;
+    EXPECT_DOUBLE_EQ(table.search_demand[e], want.search[e]) << "entity " << e;
+    EXPECT_DOUBLE_EQ(table.browse_demand[e], want.browse[e]) << "entity " << e;
   }
+  EXPECT_EQ(table.events_consumed, log.events.size());
+  EXPECT_EQ(table.events_skipped, want.skipped);
+}
+
+void ExpectMatchesBruteForce(const RandomLog& log) {
+  DemandEstimator estimator(log.site, log.num_entities);
+  for (const VisitEvent& event : log.events) estimator.Consume(event);
+  ExpectTableMatchesBruteForce(log, estimator.Finalize());
 }
 
 TEST_P(DemandEstimatorProperty, MatchesBruteForce) {
@@ -201,6 +221,64 @@ TEST_P(DemandEstimatorProperty, BackToBackRepeatsMatchBruteForce) {
   ExpectMatchesBruteForce(log);
 }
 
+// The estimator keeps the last two distinct URLs it parsed, and a click
+// on either skips only the parse. An Amazon estimator gets one reused
+// event, its URL rewritten in place between calls, on both channels.
+// Both forms of entity 3 cycle with entity 12's first form (the same
+// length as entity 3's), so the two slots evict on every click; an IMDb
+// URL with index 3, an index past the population and a noise URL each
+// come twice in a row, so their second click hits and must still be
+// skipped; each form of entity 3 also comes twice in a row.
+TEST_P(DemandEstimatorProperty, MemoHitKeepsEveryCheck) {
+  constexpr uint32_t kEntities = 40;
+  const std::string form0 = EntityUrl(TrafficSite::kAmazon, 3, 0);
+  const std::string form1 = EntityUrl(TrafficSite::kAmazon, 3, 1);
+  const std::string other = EntityUrl(TrafficSite::kAmazon, 12, 0);
+  ASSERT_EQ(other.size(), form0.size());
+  const std::vector<std::vector<std::string>> segments = {
+      {form0, form1, other, form0, form1, other},
+      {EntityUrl(TrafficSite::kImdb, 3), EntityUrl(TrafficSite::kImdb, 3)},
+      {EntityUrl(TrafficSite::kAmazon, kEntities + 2, 1),
+       EntityUrl(TrafficSite::kAmazon, kEntities + 2, 1)},
+      {"http://www.amazon.com/gp/help/customer/display.html",
+       "http://www.amazon.com/gp/help/customer/display.html"},
+      {form0, form0},
+      {form1, form1},
+  };
+  Rng rng(GetParam() ^ 0x3e305);
+  RandomLog log;
+  log.num_entities = kEntities;
+  log.site = TrafficSite::kAmazon;
+  for (int round = 0; round < 20; ++round) {
+    std::vector<size_t> order = {0, 1, 2, 3, 4, 5};
+    rng.Shuffle(order);
+    for (size_t s : order) {
+      for (const std::string& url : segments[s]) {
+        VisitEvent event;
+        event.cookie = 1 + rng.Uniform(6);  // small pool: many repeats
+        event.month = static_cast<uint8_t>(rng.Uniform(3));
+        event.channel = rng.Bernoulli(0.5) ? TrafficChannel::kSearch
+                                           : TrafficChannel::kBrowse;
+        event.url = url;
+        log.events.push_back(std::move(event));
+      }
+    }
+  }
+  ASSERT_EQ(BruteForce(log).skipped, 20u * 6);
+
+  DemandEstimator estimator(TrafficSite::kAmazon, kEntities);
+  VisitEvent reused;
+  reused.url.reserve(64);
+  for (const VisitEvent& event : log.events) {
+    reused.cookie = event.cookie;
+    reused.month = event.month;
+    reused.channel = event.channel;
+    reused.url.assign(event.url);
+    estimator.Consume(reused);
+  }
+  ExpectTableMatchesBruteForce(log, estimator.Finalize());
+}
+
 // One entity holds most of a large shuffled log, so its run alone has
 // more than 100,000 keys per channel: the count table grows past every
 // small run's size and probes long chains. Cookies differ only in their
@@ -225,10 +303,9 @@ TEST(DemandEstimatorSkew, HeavyRunMatchesBruteForce) {
   }
   rng.Shuffle(log.events);
 
-  std::vector<double> search, browse;
-  BruteForce(log, &search, &browse);
-  ASSERT_GE(search[kHeavy], 100000.0);  // distinct keys, not just clicks
-  ASSERT_LT(browse[kHeavy], 20001.0);   // browse dedups the year
+  const BruteForceTable want = BruteForce(log);
+  ASSERT_GE(want.search[kHeavy], 100000.0);  // distinct keys, not just clicks
+  ASSERT_LT(want.browse[kHeavy], 20001.0);   // browse dedups the year
   ExpectMatchesBruteForce(log);
 }
 
