@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <unordered_map>
+#include <utility>
 
 #include "graph/union_find.h"
 #include "util/metrics.h"
@@ -121,7 +122,8 @@ ComponentLabels LabelComponents(const BipartiteGraph& graph,
   ComponentLabels out;
   out.label.assign(graph.num_nodes(), ComponentLabels::kNoComponent);
   std::unordered_map<uint32_t, uint32_t> root_to_label;
-  std::vector<uint32_t> entities_per_label;
+  // (entities, sites) per label.
+  std::vector<std::pair<uint32_t, uint32_t>> size_of_label;
   for (uint32_t node = 0; node < graph.num_nodes(); ++node) {
     const bool has_edges = node < n_ent
                                ? graph.EntityDegree(node) > 0
@@ -131,15 +133,20 @@ ComponentLabels LabelComponents(const BipartiteGraph& graph,
     auto [it, inserted] =
         root_to_label.emplace(root, static_cast<uint32_t>(
                                         root_to_label.size()));
-    if (inserted) entities_per_label.push_back(0);
+    if (inserted) size_of_label.emplace_back(0, 0);
     out.label[node] = it->second;
-    if (node < n_ent) ++entities_per_label[it->second];
+    if (node < n_ent) {
+      ++size_of_label[it->second].first;
+    } else {
+      ++size_of_label[it->second].second;
+    }
   }
   out.num_components = static_cast<uint32_t>(root_to_label.size());
-  uint32_t best = 0;
-  for (uint32_t l = 0; l < entities_per_label.size(); ++l) {
-    if (entities_per_label[l] > best) {
-      best = entities_per_label[l];
+  // The largest by (entities, sites), as AnalyzeComponents orders them;
+  // an exact tie goes to the first-seen label.
+  for (uint32_t l = 0; l < size_of_label.size(); ++l) {
+    if (out.largest_label == ComponentLabels::kNoComponent ||
+        size_of_label[l] > size_of_label[out.largest_label]) {
       out.largest_label = l;
     }
   }

@@ -30,8 +30,10 @@ ComponentSummary AnalyzeComponents(const BipartiteGraph& graph,
                                    ThreadPool* pool = nullptr);
 
 /// Per-node component labels (kNoComponent for zero-degree nodes) plus the
-/// label of the largest component by entity count. Used by the diameter
-/// computation to restrict BFS to the giant component.
+/// label of the largest component, ordered by (entities, sites) as in
+/// AnalyzeComponents; an exact tie goes to the first-seen label. The
+/// diameter uses it when its first sweep's component holds at most half
+/// of the covered entities.
 struct ComponentLabels {
   static constexpr uint32_t kNoComponent = UINT32_MAX;
   std::vector<uint32_t> label;  // size = graph.num_nodes()

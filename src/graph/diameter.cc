@@ -55,16 +55,20 @@ std::pair<uint32_t, uint32_t> Bfs(const BipartiteGraph& g, uint32_t source,
   return {ecc, farthest};
 }
 
-// Highest-degree node of the largest component (a good sweep start).
-uint32_t PickStart(const BipartiteGraph& g, const ComponentLabels& labels) {
+uint64_t Degree(const BipartiteGraph& g, uint32_t node) {
+  return node < g.num_entities() ? g.EntityDegree(node)
+                                 : g.SiteDegree(node - g.num_entities());
+}
+
+// First node of maximum degree among the nodes `in_scope` admits (a good
+// sweep start); kUnvisited when none has an edge.
+template <typename InScope>
+uint32_t FirstOfMaxDegree(const BipartiteGraph& g, InScope&& in_scope) {
   uint32_t best = kUnvisited;
   uint64_t best_degree = 0;
   for (uint32_t node = 0; node < g.num_nodes(); ++node) {
-    if (labels.label[node] != labels.largest_label) continue;
-    const uint64_t degree = node < g.num_entities()
-                                ? g.EntityDegree(node)
-                                : g.SiteDegree(node - g.num_entities());
-    if (best == kUnvisited || degree > best_degree) {
+    const uint64_t degree = Degree(g, node);
+    if (degree > best_degree && in_scope(node)) {
       best = node;
       best_degree = degree;
     }
@@ -141,34 +145,49 @@ void MultiSourceEccentricities(const BipartiteGraph& g,
 DiameterResult ExactDiameterImpl(const BipartiteGraph& graph,
                                  uint32_t max_bfs, ThreadPool* pool) {
   DiameterResult result;
-  const ComponentLabels labels = LabelComponents(graph, pool);
-  if (labels.largest_label == ComponentLabels::kNoComponent) {
-    return result;  // empty graph
-  }
-  for (uint32_t label : labels.label) {
-    if (label == labels.largest_label) ++result.component_nodes;
-  }
-
   BfsScratch scratch;
-  const uint32_t start = PickStart(graph, labels);
-  WSD_CHECK(start != kUnvisited);
+  // ecc_upper[v] bounds ecc(v) by ecc(x) + d(x, v), folded over every
+  // sweep source x (Takes and Kosters, "Determining the diameter of small
+  // world networks", CIKM 2011).
+  std::vector<uint32_t> ecc_upper(graph.num_nodes(), kUnvisited);
+  auto sweep = [&](uint32_t source) {
+    const auto [ecc, farthest] = Bfs(graph, source, scratch);
+    ++result.bfs_runs;
+    for (uint32_t v : scratch.queue) {
+      ecc_upper[v] = std::min(ecc_upper[v], ecc + scratch.dist[v]);
+    }
+    return std::pair{ecc, farthest};
+  };
+
+  // The first sweep starts at the first node of maximum degree. When its
+  // component holds more than half of the covered entities it is the
+  // largest one, and the node is also that component's first node of
+  // maximum degree. Otherwise label the components and start again; the
+  // bounds the first sweep left lie outside the largest component.
+  const uint32_t first =
+      FirstOfMaxDegree(graph, [](uint32_t) { return true; });
+  if (first == kUnvisited) return result;  // no edges
+  uint32_t a = sweep(first).second;
+  const auto entities_reached = static_cast<uint64_t>(std::count_if(
+      scratch.queue.begin(), scratch.queue.end(),
+      [&](uint32_t v) { return v < graph.num_entities(); }));
+  if (2 * entities_reached <= graph.num_covered_entities()) {
+    const ComponentLabels labels = LabelComponents(graph, pool);
+    const uint32_t start = FirstOfMaxDegree(graph, [&](uint32_t node) {
+      return labels.label[node] == labels.largest_label;
+    });
+    WSD_CHECK(start != kUnvisited);
+    if (start != first) a = sweep(start).second;
+  }
+  result.component_nodes = static_cast<uint32_t>(scratch.queue.size());
 
   // Double sweep: lb = ecc(a) where a is the far end of the first sweep.
-  auto [d0, a] = Bfs(graph, start, scratch);
-  (void)d0;
-  auto [lb, b] = Bfs(graph, a, scratch);
-  result.bfs_runs = 2;
+  auto [lb, b] = sweep(a);
 
-  // Midpoint of the a-b path as iFUB root: re-run BFS from b with parents
-  // implied by distance arrays. We already have dist-from-a in scratch
-  // only for the second sweep... recompute from b and walk to the middle.
+  // Midpoint of the a-b path as iFUB root: any node v with
+  // dist_a[v] + dist_b[v] == lb and dist_b[v] == lb/2.
   std::vector<uint32_t> dist_a = scratch.dist;  // distances from a
-  auto [ecc_b, c] = Bfs(graph, b, scratch);
-  (void)ecc_b;
-  (void)c;
-  ++result.bfs_runs;
-  // Node on the a-b shortest path at distance ~lb/2 from b: any node v
-  // with dist_a[v] + dist_b[v] == lb and dist_b[v] == lb/2.
+  const uint32_t ecc_b = sweep(b).first;
   uint32_t root = b;
   const uint32_t half = lb / 2;
   for (uint32_t v = 0; v < graph.num_nodes(); ++v) {
@@ -180,61 +199,66 @@ DiameterResult ExactDiameterImpl(const BipartiteGraph& graph,
   }
 
   // BFS tree from the root; collect level sets.
-  auto [depth, far_r] = Bfs(graph, root, scratch);
-  (void)far_r;
-  ++result.bfs_runs;
-  uint32_t lower = std::max(lb, depth);
+  const uint32_t depth = sweep(root).first;
+  // ecc(b) >= lb, since d(a, b) = lb.
+  uint32_t lower = std::max(ecc_b, depth);
   uint32_t upper = 2 * depth;
   if (lower == upper) {
     result.diameter = lower;
     return result;
   }
 
+  // A node whose bound is at most `lower` cannot raise it, so only the
+  // others enter the levels.
   std::vector<std::vector<uint32_t>> levels(depth + 1);
   for (uint32_t v = 0; v < graph.num_nodes(); ++v) {
-    if (scratch.dist[v] != kUnvisited) levels[scratch.dist[v]].push_back(v);
+    if (scratch.dist[v] != kUnvisited && ecc_upper[v] > lower) {
+      levels[scratch.dist[v]].push_back(v);
+    }
   }
-  // Within a level, try high-degree nodes first: they raise the lower
-  // bound faster and trigger the early exit sooner.
+  // Within a level, low-degree nodes first: peripheral nodes raise the
+  // lower bound soonest, and the bounds then skip the rest.
   for (auto& level : levels) {
-    std::sort(level.begin(), level.end(), [&](uint32_t x, uint32_t y) {
-      const uint64_t dx = x < graph.num_entities()
-                              ? graph.EntityDegree(x)
-                              : graph.SiteDegree(x - graph.num_entities());
-      const uint64_t dy = y < graph.num_entities()
-                              ? graph.EntityDegree(y)
-                              : graph.SiteDegree(y - graph.num_entities());
-      return dx > dy;
-    });
+    std::stable_sort(level.begin(), level.end(),
+                     [&](uint32_t x, uint32_t y) {
+                       return Degree(graph, x) < Degree(graph, y);
+                     });
   }
 
   // Eccentricity loop: each fringe level is evaluated in chunks of up to
-  // 64 sources, one multi-source traversal per chunk, in the same order
-  // as a per-source loop. `lower` is folded as a max, so the diameter is
-  // the per-source loop's: eccentricities never exceed `upper`, hence a
-  // whole chunk can only reach the same lower == upper fixpoint that a
-  // per-source early exit does. Only bfs_runs may be higher: a chunk is
-  // not cut short mid-way.
+  // 64 sources, one multi-source traversal per chunk. A chunk is filled
+  // with the level's next nodes whose bound still exceeds `lower`, so a
+  // chunk that raises `lower` lets later nodes be skipped. A skipped node
+  // cannot raise `lower`, so each level's maximum, the iFUB invariant
+  // below and the diameter are those of evaluating every node. The
+  // budget is checked only before a chunk that will run.
   MultiBfsScratch fringe(graph.num_nodes());
+  uint32_t chunk[kSourcesPerTraversal];
   uint32_t chunk_ecc[kSourcesPerTraversal];
   for (uint32_t i = depth; i >= 1 && lower < upper; --i) {
     // Process all of level i; only lower == upper is a safe early exit
     // inside the level (other level-i nodes may reach ecc up to 2*i).
     const std::vector<uint32_t>& level = levels[i];
-    for (size_t pos = 0; pos < level.size() && lower < upper;) {
-      if (result.bfs_runs >= max_bfs) {
+    for (size_t pos = 0; lower < upper;) {
+      const uint32_t budget =
+          max_bfs > result.bfs_runs ? max_bfs - result.bfs_runs : 0;
+      // With the budget spent, one node the bounds leave is enough to
+      // show that a chunk would run.
+      const size_t cap =
+          std::min<size_t>(kSourcesPerTraversal, std::max(budget, 1u));
+      size_t width = 0;
+      for (; pos < level.size() && width < cap; ++pos) {
+        if (ecc_upper[level[pos]] > lower) chunk[width++] = level[pos];
+      }
+      if (width == 0) break;
+      if (budget == 0) {
         result.diameter = lower;
         result.exact = false;
         return result;
       }
-      const size_t width =
-          std::min({kSourcesPerTraversal, level.size() - pos,
-                    static_cast<size_t>(max_bfs - result.bfs_runs)});
-      MultiSourceEccentricities(graph, level.data() + pos, width, fringe,
-                                chunk_ecc);
+      MultiSourceEccentricities(graph, chunk, width, fringe, chunk_ecc);
       result.bfs_runs += static_cast<uint32_t>(width);
       lower = std::max(lower, *std::max_element(chunk_ecc, chunk_ecc + width));
-      pos += width;
     }
     // iFUB invariant: every node at level < i has eccentricity
     // <= 2*(i-1), so once the lower bound reaches that, deeper levels

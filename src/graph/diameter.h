@@ -30,14 +30,21 @@ struct DiameterResult {
 /// approach the paper sidesteps the same way ("can be computed more
 /// efficiently when the diameter of the graph is small", §5.2).
 ///
-/// The fringe eccentricities run as 64-source traversals (one bit per
-/// source in a word per node) on the calling thread; `pool` only labels
-/// the components. The result, `bfs_runs` included, is the same at every
-/// thread count. `bfs_runs` counts every eccentricity computed, so it can
-/// exceed a per-source loop's count by fewer than 64 when the bounds meet
-/// inside a chunk (at scale 1.0, automotive/phone and home_garden/phone
-/// went from 18 to 68). The diameter, exactness and component size are
-/// the per-source loop's.
+/// The four sweeps (start, the double sweep's two ends, the root) also
+/// bound every node's eccentricity by ecc(x) + d(x, v) (Takes and
+/// Kosters, CIKM 2011); a fringe node whose bound does not exceed the
+/// lower bound is skipped, since it cannot raise it. Within a level,
+/// low-degree nodes go first. The remaining fringe eccentricities run as
+/// 64-source traversals (one bit per source in a word per node) on the
+/// calling thread. The first sweep starts at the first node of maximum
+/// degree; `pool` labels the components only when that node's component
+/// holds at most half of the covered entities, and the sweep then starts
+/// again in the largest one. The result, `bfs_runs` included, is the same
+/// at every thread count. `bfs_runs` counts every eccentricity computed,
+/// including a first sweep outside the largest component; a chunk is
+/// filled before it runs, so it may hold nodes that a bound raised inside
+/// the same chunk would have skipped. The diameter, exactness and
+/// component size are those of evaluating every fringe node.
 DiameterResult ExactDiameter(const BipartiteGraph& graph,
                              uint32_t max_bfs = 20000,
                              ThreadPool* pool = nullptr);

@@ -354,6 +354,123 @@ TEST(DiameterTest, WideFringeMatchesAllPairs) {
   }
 }
 
+// Hub-dominated graph shaped like a study's: each edge picks its site
+// with Zipf weight 1/(s+1), so a few hub sites cover many entities and a
+// long tail of sites covers a few each. Most entities sit on one site
+// only, 5% are uncovered, and small components split off the tail. The
+// sweeps bound most nodes of such a graph, so the fringe loop skips
+// most of them.
+BipartiteGraph HubGraph(uint64_t seed) {
+  Rng rng(seed);
+  const uint32_t entities = 150 + static_cast<uint32_t>(rng.Index(250));
+  const uint32_t sites = entities / 2;
+  std::vector<double> cumulative(sites);
+  double total = 0.0;
+  for (uint32_t s = 0; s < sites; ++s) {
+    total += 1.0 / (s + 1.0);
+    cumulative[s] = total;
+  }
+  std::vector<std::vector<EntityId>> table(sites);
+  for (uint32_t e = 0; e < entities; ++e) {
+    if (rng.Bernoulli(0.05)) continue;
+    const uint32_t degree =
+        rng.Bernoulli(0.7) ? 1 : 1 + static_cast<uint32_t>(rng.Index(8));
+    for (uint32_t k = 0; k < degree; ++k) {
+      const auto it = std::lower_bound(cumulative.begin(), cumulative.end(),
+                                       rng.NextDouble() * total);
+      table[std::min<size_t>(it - cumulative.begin(), sites - 1)]
+          .push_back(e);
+    }
+  }
+  for (auto& v : table) {
+    std::sort(v.begin(), v.end());
+    v.erase(std::unique(v.begin(), v.end()), v.end());
+  }
+  return BipartiteGraph::FromHostTable(MakeTable(table), entities);
+}
+
+// The sweep bounds skip only eccentricities that cannot raise the lower
+// bound: on study-shaped graphs the diameter, exactness and component
+// match all-pairs BFS, no pool changes the count, and a budget leaves a
+// lower bound that is exact whenever the budget covers the full run.
+TEST(DiameterTest, SweepBoundsMatchAllPairsOnHubGraphs) {
+  for (uint64_t seed = 1; seed <= 100; ++seed) {
+    const auto graph = HubGraph(seed);
+    const auto slow = AllPairsDiameter(graph);
+    const auto serial = ExactDiameter(graph);
+    EXPECT_EQ(serial.diameter, slow.diameter) << "seed " << seed;
+    EXPECT_TRUE(serial.exact);
+    EXPECT_EQ(serial.component_nodes, slow.component_nodes);
+    for (size_t threads : {1, 2, 8}) {
+      ThreadPool pool(threads);
+      const auto parallel = ExactDiameter(graph, 20000, &pool);
+      EXPECT_EQ(parallel.diameter, serial.diameter)
+          << "seed " << seed << " threads " << threads;
+      EXPECT_TRUE(parallel.exact);
+      EXPECT_EQ(parallel.component_nodes, serial.component_nodes);
+      EXPECT_EQ(parallel.bfs_runs, serial.bfs_runs);
+    }
+    for (uint32_t max_bfs : {5u, 8u, 40u, serial.bfs_runs}) {
+      const auto cut = ExactDiameter(graph, max_bfs);
+      EXPECT_LE(cut.diameter, slow.diameter)
+          << "seed " << seed << " max_bfs " << max_bfs;
+      EXPECT_EQ(cut.component_nodes, slow.component_nodes);
+      if (cut.exact) {
+        EXPECT_EQ(cut.diameter, slow.diameter)
+            << "seed " << seed << " max_bfs " << max_bfs;
+        // The sweeps (four, five after a fallback) run whatever the
+        // budget.
+        EXPECT_LE(cut.bfs_runs, std::max(max_bfs, 5u));
+      } else {
+        EXPECT_EQ(cut.bfs_runs, max_bfs)
+            << "seed " << seed << " max_bfs " << max_bfs;
+      }
+    }
+    EXPECT_TRUE(ExactDiameter(graph, serial.bfs_runs).exact)
+        << "seed " << seed;
+  }
+}
+
+// The first sweep starts at the highest-degree node; when that node's
+// component does not hold most covered entities, the diameter must still
+// be measured on the largest component: here a path of 8 entities beside
+// a star of 6, whose site has the highest degree.
+TEST(DiameterTest, HighestDegreeNodeOutsideLargestComponent) {
+  std::vector<std::vector<EntityId>> table = {{0, 1, 2, 3, 4, 5}};
+  for (EntityId e = 6; e < 13; ++e) table.push_back({e, e + 1});
+  const auto graph = BipartiteGraph::FromHostTable(MakeTable(table), 14);
+  const auto slow = AllPairsDiameter(graph);
+  ASSERT_EQ(slow.diameter, 14u);
+  ASSERT_EQ(slow.component_nodes, 15u);
+  ThreadPool pool(2);
+  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    const auto result = ExactDiameter(graph, 20000, p);
+    EXPECT_EQ(result.diameter, 14u);
+    EXPECT_EQ(result.component_nodes, 15u);
+    EXPECT_TRUE(result.exact);
+  }
+}
+
+// Two components with three entities each: a star (1 site) and a 6-cycle
+// (3 sites). Table 2 counts the cycle as the largest component, since
+// components are ordered by (entities, sites), so its diameter must be
+// the cycle's 3, not the star's 2.
+TEST(ComponentsTest, LargestBreaksEntityTiesBySites) {
+  const auto table = MakeTable({{0, 1, 2}, {3, 4}, {4, 5}, {3, 5}});
+  const auto graph = BipartiteGraph::FromHostTable(table, 6);
+  const auto summary = AnalyzeComponents(graph);
+  EXPECT_EQ(summary.largest_component_entities, 3u);
+  EXPECT_EQ(summary.largest_component_sites, 3u);
+  const auto labels = LabelComponents(graph);
+  EXPECT_EQ(labels.num_components, 2u);
+  EXPECT_EQ(labels.largest_label, labels.label[3]);
+  EXPECT_NE(labels.largest_label, labels.label[0]);
+  const auto diameter = ExactDiameter(graph);
+  EXPECT_EQ(diameter.diameter, 3u);
+  EXPECT_EQ(diameter.component_nodes, 6u);
+  EXPECT_EQ(AllPairsDiameter(graph).diameter, 3u);
+}
+
 // The parallel base-state build of the robustness sweep must emit the
 // same curve as the serial path at every thread count.
 TEST(RobustnessTest, ParallelMatchesSerial) {
